@@ -295,6 +295,16 @@ func TestAsyncOverloadBlockFlushFailure(t *testing.T) {
 			t.Fatalf("writer %d under failing flush: %v", i, err)
 		}
 	}
+	// Wait for the background flusher to park the failure: a writer that
+	// blocks before then has its nudge retry the flush, which succeeds
+	// once the one-shot trigger is spent, and is rightly admitted.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.FlushErr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("flush failure never parked in FlushErr")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// The queue is full and not draining: the next writer must return
 	// the wrapped failure in bounded time, not block forever re-waking
 	// the flusher into a hot retry cycle.

@@ -11,16 +11,16 @@ package cluster
 //	copy     Per base table (then per view), under a brief shared claim
 //	         that blocks only that object's writers: snapshot the
 //	         migrating slots' rows out of the source fragments into
-//	         staging fragments at the destination, and arm a "tap" on the
-//	         fragment before releasing the claim. From then on every
-//	         mutation the coordinator delivers against migrating data is
-//	         mirrored — value-filtered, rewritten to the staging names —
-//	         into the delta catch-up queue.
+//	         staging fragments at the destination, and arm the fragment
+//	         before releasing the claim. From then on every mutation the
+//	         coordinator delivers against migrating data is mirrored —
+//	         value-filtered, rewritten to the staging names — into the
+//	         delta catch-up queue.
 //	catchup  Replay the queue against the staging fragments in batches
 //	         while DML continues to run (and continues to enqueue).
 //	cutover  Under an exclusive claim on every migrating hash range (plus
 //	         the tables and views, so readers cannot observe the move):
-//	         drain the queue, merge staging into the real fragments at
+//	         drain the queue, promote staging into the real fragments at
 //	         the destinations, delete the moved rows at the sources, fix
 //	         up global-index entries that referenced moved base rows, and
 //	         atomically install the new partition map with an epoch bump
@@ -33,6 +33,10 @@ package cluster
 // fault injector's migration-phase triggers (fault.CrashAtPhase,
 // fault.FailAtPhase) land node crashes and coordinator failures exactly
 // at these boundaries.
+//
+// The data movement itself — the structure walk, snapshot copy, live
+// fan-out, promotion and misplaced-row deletion — is the slot-copy engine
+// in slotcopy.go, shared with replication's failover and repair.
 
 import (
 	"errors"
@@ -42,13 +46,11 @@ import (
 	"sync"
 	"time"
 
-	"joinview/internal/catalog"
 	"joinview/internal/fault"
 	"joinview/internal/hashpart"
 	"joinview/internal/lockmgr"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
-	"joinview/internal/storage"
 	"joinview/internal/types"
 	"joinview/internal/wal"
 )
@@ -127,16 +129,6 @@ type Topology struct {
 	Repair *ReplRepairStatus
 }
 
-// migTap mirrors mutations against one migrating fragment into the
-// catch-up queue. partIdx is the partition column's index in the
-// fragment's tuples; staging maps destination node → staging fragment
-// name there.
-type migTap struct {
-	hintCol string
-	partIdx int
-	staging map[int]string
-}
-
 // migStaging names one staging fragment for the WAL record and cleanup.
 type migStaging struct {
 	Node int
@@ -161,11 +153,12 @@ type migration struct {
 	moves   map[int]migMove
 	dsts    []int
 	staging []migStaging
+	// copy is the snapshot copy of the moving slots into staging; its
+	// armed structures' writes queue up for replay.
+	copy *slotCopy
 
 	mu      sync.Mutex
 	phase   string
-	taps    map[string]*migTap // base/AR/view fragment → tap
-	giTaps  map[string]*migTap // global index → tap
 	queue   []migQueued
 	stopped bool // cutover reached or migration aborted: stop mirroring
 
@@ -267,7 +260,7 @@ func (c *Cluster) Topology() Topology {
 		t.InFlight = &MigrationStatus{
 			ID:         mig.id,
 			Phase:      mig.phase,
-			Slots:      sortedSlots(mig.moves),
+			Slots:      sortedKeys(mig.moves),
 			Dsts:       append([]int(nil), mig.dsts...),
 			QueueDepth: len(mig.queue),
 		}
@@ -278,7 +271,8 @@ func (c *Cluster) Topology() Topology {
 }
 
 // failIfMigrating refuses catalog-shape changes while data is in flight:
-// a fragment created mid-migration would have no staging copy and no tap.
+// a fragment created mid-migration would have no staging copy and would
+// not be armed.
 func (c *Cluster) failIfMigrating() error {
 	if c.MigrationActive() {
 		return fmt.Errorf("%w in flight: retry after it completes", ErrMigration)
@@ -298,22 +292,13 @@ func (c *Cluster) migRangeClaims(mode func(string) lockmgr.Claim) []lockmgr.Clai
 		return nil
 	}
 	claims := make([]lockmgr.Claim, 0, len(m.moves))
-	for _, s := range sortedSlots(m.moves) {
+	for _, s := range sortedKeys(m.moves) {
 		claims = append(claims, mode(migRangeRes(s)))
 	}
 	return claims
 }
 
 func migRangeRes(slot int) string { return fmt.Sprintf("mig:slot:%d", slot) }
-
-func sortedSlots(moves map[int]migMove) []int {
-	out := make([]int, 0, len(moves))
-	for s := range moves {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // AddNode grows the cluster by one data-server node: it provisions the
 // node (transport inbox, empty fragments of every cataloged object),
@@ -366,42 +351,12 @@ func (c *Cluster) provisionNode() (int, error) {
 
 	// Empty fragments of every cataloged object, so broadcasts, gathers
 	// and checkpoints uniformly include the new node from here on.
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return dst, err
-		}
-		if _, err := c.rawCall(dst, node.CreateFragment{
-			Name: t.Name, Schema: t.Schema, ClusterCol: t.ClusterCol, PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return dst, err
-		}
-		for _, ix := range t.Indexes {
-			if _, err := c.rawCall(dst, node.CreateIndex{Frag: t.Name, Name: ix.Name, Col: ix.Col}); err != nil {
-				return dst, err
-			}
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			if _, err := c.rawCall(dst, node.CreateFragment{
-				Name: ar.Name, Schema: ar.Schema, ClusterCol: ar.PartitionCol, PageRows: c.cfg.PageRows,
-			}); err != nil {
-				return dst, err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			if _, err := c.rawCall(dst, node.CreateGlobalIndex{Name: gi.Name, DistClustered: gi.DistClustered}); err != nil {
-				return dst, err
-			}
-		}
+	structs, err := c.slotStructs()
+	if err != nil {
+		return dst, err
 	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return dst, err
-		}
-		if _, err := c.rawCall(dst, node.CreateFragment{
-			Name: v.Name, Schema: v.Schema, ClusterCol: v.PartitionQualified(), PageRows: c.cfg.PageRows,
-		}); err != nil {
+	for _, s := range structs {
+		if err := c.createStruct(c.rawCall, dst, s, s.name); err != nil {
 			return dst, err
 		}
 	}
@@ -524,45 +479,40 @@ func (c *Cluster) isRetired(n int) bool {
 
 // migrate runs the three-phase live migration of the given slot moves.
 func (c *Cluster) migrate(routing, target hashpart.Map, moves map[int]migMove) error {
+	structs, err := c.slotStructs()
+	if err != nil {
+		return err
+	}
 	m := &migration{
 		id:      c.migSeq.Add(1),
 		routing: routing,
 		target:  target,
 		moves:   moves,
-		taps:    map[string]*migTap{},
-		giTaps:  map[string]*migTap{},
 		start:   time.Now(),
 	}
+	targets := map[int][]int{}
 	dstSet := map[int]bool{}
-	for _, mv := range moves {
+	for s, mv := range moves {
+		targets[s] = []int{mv.Dst}
 		dstSet[mv.Dst] = true
 	}
-	for d := range dstSet {
-		m.dsts = append(m.dsts, d)
+	m.dsts = sortedKeys(dstSet)
+	m.stats = MigrationStats{ID: m.id, Slots: sortedKeys(moves), Dsts: m.dsts}
+	m.copy = newSlotCopy(routing, targets, m.copyName, func(to int, req any) (any, error) {
+		return c.migCall(m, to, req)
+	})
+	m.copy.count = func(rows int) {
+		m.mu.Lock()
+		m.stats.RowsCopied += int64(rows)
+		m.mu.Unlock()
+		c.addPages(m, rows)
 	}
-	sort.Ints(m.dsts)
-	m.stats = MigrationStats{ID: m.id, Slots: sortedSlots(moves), Dsts: m.dsts}
 
 	// Plan every staging fragment up front so the WAL start record is a
 	// complete cleanup manifest even if the coordinator dies mid-copy.
-	for _, tn := range c.cat.Tables() {
+	for _, s := range structs {
 		for _, d := range m.dsts {
-			m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(tn)})
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			for _, d := range m.dsts {
-				m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(ar.Name)})
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for _, d := range m.dsts {
-				m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(gi.Name), GI: true})
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		for _, d := range m.dsts {
-			m.staging = append(m.staging, migStaging{Node: d, Name: m.stagingName(vn)})
+			m.staging = append(m.staging, migStaging{Node: d, Name: m.copyName(s.name), GI: s.gi})
 		}
 	}
 
@@ -577,7 +527,7 @@ func (c *Cluster) migrate(routing, target hashpart.Map, moves map[int]migMove) e
 	c.migMu.Unlock()
 
 	c.migLog(migStartRec{ID: m.id, Moves: moves, Target: target, Staging: m.staging}, true)
-	err := c.runMigration(m)
+	err = c.runMigration(m, structs)
 	if err != nil {
 		if m.committed() {
 			// The target map is installed — the migration happened; only
@@ -622,9 +572,28 @@ func (c *Cluster) finishMigration(m *migration) {
 	c.migMu.Unlock()
 }
 
-func (m *migration) stagingName(frag string) string {
+// The migration's live fan-out policy: writes to an armed structure's
+// migrating slots are rewritten to staging and queued for replay.
+
+func (m *migration) sinkFor(name string) copySink {
+	m.mu.Lock()
+	stopped := m.stopped
+	m.mu.Unlock()
+	if stopped || !m.copy.isArmed(name) {
+		return nil
+	}
+	return m
+}
+
+func (m *migration) targets(v types.Value, at int) []int { return m.copy.route(v, at) }
+
+func (m *migration) copyName(frag string) string {
 	return fmt.Sprintf("%s~mig%d", frag, m.id)
 }
+
+func (m *migration) send(dst int, req any, _ int) { m.enqueue(dst, req) }
+
+func (m *migration) unmetered() bool { return true }
 
 // setPhase records the phase and announces it to the fault injector,
 // whose armed triggers may crash a node here — or fail the coordinator
@@ -661,16 +630,31 @@ func (c *Cluster) migCall(m *migration, to int, req any) (any, error) {
 	return c.rawCall(to, req)
 }
 
+// addPages counts the page I/O of moving rows: one read where they are and
+// one write where they go (snapshot copies and cutover promotions).
+func (c *Cluster) addPages(m *migration, rows int) {
+	m.mu.Lock()
+	m.stats.PagesCopied += 2 * c.pageCount(rows)
+	m.mu.Unlock()
+}
+
 // runMigration executes the three phases.
-func (c *Cluster) runMigration(m *migration) error {
-	// Phase 1: snapshot copy, object by object, arming taps.
-	for _, tn := range c.cat.Tables() {
-		if err := c.copyTable(m, tn); err != nil {
+func (c *Cluster) runMigration(m *migration, structs []slotStruct) error {
+	// Phase 1: snapshot copy, object by object, arming each. Staging
+	// exists at every destination whatever it holds, so cleanup and
+	// cutover are uniform.
+	for _, obj := range splitObjects(structs) {
+		if err := c.setPhase(m, "copy:"+obj[0].object); err != nil {
 			return err
 		}
-	}
-	for _, vn := range c.cat.Views() {
-		if err := c.copyView(m, vn); err != nil {
+		for _, s := range obj {
+			for _, d := range m.dsts {
+				if err := c.createStruct(m.copy.call, d, s, m.copyName(s.name)); err != nil {
+					return err
+				}
+			}
+		}
+		if err := c.copyObject(m.copy, obj); err != nil {
 			return err
 		}
 	}
@@ -689,204 +673,7 @@ func (c *Cluster) runMigration(m *migration) error {
 		}
 	}
 	// Phase 3: cutover.
-	return c.cutover(m)
-}
-
-// lockCopy acquires the snapshot claim for one object: shared on the
-// object (blocking exactly its writers), global in serial modes.
-func (c *Cluster) lockCopy(names ...string) *lockmgr.Held {
-	return c.lockRead(names...)
-}
-
-// migMoved reports whether a value's slot is migrating and currently
-// homed at node `at`.
-func (m *migration) migMoved(v types.Value, at int) (migMove, bool) {
-	s := m.routing.Slot(v)
-	mv, ok := m.moves[s]
-	if !ok || mv.Src != at {
-		return migMove{}, false
-	}
-	return mv, true
-}
-
-// armTap registers the mirror for one fragment. Must be called while the
-// copy claim is still held, so no mutation lands between snapshot and tap.
-func (m *migration) armTap(frag, hintCol string, partIdx int, gi bool) {
-	t := &migTap{hintCol: hintCol, partIdx: partIdx, staging: map[int]string{}}
-	for _, d := range m.dsts {
-		t.staging[d] = m.stagingName(frag)
-	}
-	m.mu.Lock()
-	if gi {
-		m.giTaps[frag] = t
-	} else {
-		m.taps[frag] = t
-	}
-	m.mu.Unlock()
-}
-
-// copyTable snapshots one base table's migrating rows — plus its
-// auxiliary relations' rows and global-index entries — into staging at
-// the destinations, arming the taps before the claim is released.
-func (c *Cluster) copyTable(m *migration, tn string) error {
-	if err := c.setPhase(m, "copy:"+tn); err != nil {
-		return err
-	}
-	t, err := c.cat.Table(tn)
-	if err != nil {
-		return err
-	}
-	ars := c.cat.AuxRelsFor(tn)
-	gis := c.cat.GlobalIndexesFor(tn)
-	h := c.lockCopy(tn)
-	defer h.Release()
-
-	// Staging fragments exist at every destination regardless of content,
-	// so cleanup and cutover are uniform.
-	for _, d := range m.dsts {
-		if _, err := c.migCall(m, d, node.CreateFragment{
-			Name: m.stagingName(tn), Schema: t.Schema, ClusterCol: t.ClusterCol, PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-		for _, ar := range ars {
-			if _, err := c.migCall(m, d, node.CreateFragment{
-				Name: m.stagingName(ar.Name), Schema: ar.Schema, ClusterCol: ar.PartitionCol, PageRows: c.cfg.PageRows,
-			}); err != nil {
-				return err
-			}
-		}
-		for _, gi := range gis {
-			if _, err := c.migCall(m, d, node.CreateGlobalIndex{Name: m.stagingName(gi.Name), DistClustered: gi.DistClustered}); err != nil {
-				return err
-			}
-		}
-	}
-	pi := t.Schema.MustColIndex(t.PartitionCol)
-	if err := c.copyFragSlots(m, tn, pi); err != nil {
-		return err
-	}
-	m.armTap(tn, t.PartitionCol, pi, false)
-	for _, ar := range ars {
-		api := ar.Schema.MustColIndex(ar.PartitionCol)
-		if err := c.copyFragSlots(m, ar.Name, api); err != nil {
-			return err
-		}
-		m.armTap(ar.Name, ar.PartitionCol, api, false)
-	}
-	for _, gi := range gis {
-		if err := c.copyGISlots(m, gi.Name); err != nil {
-			return err
-		}
-		m.armTap(gi.Name, "", -1, true)
-	}
-	return nil
-}
-
-// copyView snapshots one view's migrating rows into staging.
-func (c *Cluster) copyView(m *migration, vn string) error {
-	if err := c.setPhase(m, "copy:"+vn); err != nil {
-		return err
-	}
-	v, err := c.cat.View(vn)
-	if err != nil {
-		return err
-	}
-	h := c.lockCopy(vn)
-	defer h.Release()
-	for _, d := range m.dsts {
-		if _, err := c.migCall(m, d, node.CreateFragment{
-			Name: m.stagingName(vn), Schema: v.Schema, ClusterCol: v.PartitionQualified(), PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-	}
-	pi := v.Schema.MustColIndex(v.PartitionQualified())
-	if err := c.copyFragSlots(m, vn, pi); err != nil {
-		return err
-	}
-	m.armTap(vn, v.PartitionQualified(), pi, false)
-	return nil
-}
-
-// copyFragSlots ships one fragment's migrating rows from each source to
-// the staging fragment at its destination.
-func (c *Cluster) copyFragSlots(m *migration, frag string, partIdx int) error {
-	for _, src := range m.srcNodes() {
-		resp, err := c.migCall(m, src, node.ScanWithRows{Frag: frag})
-		if err != nil {
-			return err
-		}
-		rr := resp.(node.RowsResult)
-		byDst := map[int][]types.Tuple{}
-		for _, tup := range rr.Tuples {
-			if mv, ok := m.migMoved(tup[partIdx], src); ok {
-				byDst[mv.Dst] = append(byDst[mv.Dst], tup)
-			}
-		}
-		for d, tuples := range byDst {
-			if _, err := c.migCall(m, d, node.Insert{Frag: m.stagingName(frag), Tuples: tuples, Unmetered: true}); err != nil {
-				return err
-			}
-			m.mu.Lock()
-			m.stats.RowsCopied += int64(len(tuples))
-			m.stats.PagesCopied += 2 * c.pageCount(len(tuples)) // read at src + write at dst
-			m.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-// copyGISlots ships one global index's migrating-value entries from each
-// source's fragment to the staging index at its destination.
-func (c *Cluster) copyGISlots(m *migration, gi string) error {
-	for _, src := range m.srcNodes() {
-		resp, err := c.migCall(m, src, node.GIScan{GI: gi})
-		if err != nil {
-			return err
-		}
-		sc := resp.(node.GIScanResult)
-		type batch struct {
-			vals []types.Value
-			gs   []storage.GlobalRowID
-		}
-		byDst := map[int]*batch{}
-		for i, v := range sc.Vals {
-			if mv, ok := m.migMoved(v, src); ok {
-				b := byDst[mv.Dst]
-				if b == nil {
-					b = &batch{}
-					byDst[mv.Dst] = b
-				}
-				b.vals = append(b.vals, v)
-				b.gs = append(b.gs, sc.Gs[i])
-			}
-		}
-		for d, b := range byDst {
-			if _, err := c.migCall(m, d, node.GIInsertBatch{GI: m.stagingName(gi), Vals: b.vals, Gs: b.gs}); err != nil {
-				return err
-			}
-			m.mu.Lock()
-			m.stats.RowsCopied += int64(len(b.vals))
-			m.stats.PagesCopied += 2 * c.pageCount(len(b.vals))
-			m.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-// srcNodes lists the distinct source nodes of the migration's moves.
-func (m *migration) srcNodes() []int {
-	set := map[int]bool{}
-	for _, mv := range m.moves {
-		set[mv.Src] = true
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return c.cutover(m, structs)
 }
 
 // enqueue appends one mirrored operation to the catch-up queue.
@@ -922,186 +709,9 @@ func (c *Cluster) replayQueue(m *migration) (int, error) {
 	return len(batch), nil
 }
 
-// tapMutation mirrors one successfully delivered mutation into the
-// catch-up queue if it touches a migrating hash range. It is called from
-// the resilient delivery layer on every applied DML sub-request (normal
-// path, broadcast path and in-doubt resolution), including compensations,
-// so the staging fragments see exactly the physical history the sources
-// see. Recovery traffic (rawCall/rawDeliver) is deliberately not tapped:
-// derived-fragment rebuilds regenerate source state wholesale and would
-// double-apply against staging.
-func (c *Cluster) tapMutation(to int, wreq, resp any) {
-	c.mirrorMutation(to, wreq, resp)
-	c.migMu.RLock()
-	m := c.mig
-	c.migMu.RUnlock()
-	if m == nil {
-		return
-	}
-	m.absorb(to, wreq, resp)
-}
-
-// absorb inspects one applied request and enqueues its mirror.
-func (m *migration) absorb(to int, wreq, resp any) {
-	if s, ok := wreq.(node.Seq); ok {
-		wreq = s.Req
-	}
-	switch req := wreq.(type) {
-	case node.Insert:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		m.mirrorTuples(to, t, req.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.Insert{Frag: t.staging[dst], Tuples: tuples, Unmetered: true}
-		})
-	case node.RestoreRows:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		m.mirrorTuples(to, t, req.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.Insert{Frag: t.staging[dst], Tuples: tuples, Unmetered: true}
-		})
-	case node.DeleteRows:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		m.mirrorTuples(to, t, dr.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: t.staging[dst], HintCol: t.hintCol, Tuples: tuples}
-		})
-	case node.DeleteMatch:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		m.mirrorTuples(to, t, dr.Tuples, func(dst int, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: t.staging[dst], HintCol: t.hintCol, Tuples: tuples}
-		})
-	case node.AggApply:
-		t := m.tapFor(req.Frag)
-		if t == nil {
-			return
-		}
-		byDst := map[int][]int{}
-		for i, key := range req.Keys {
-			if mv, ok := m.migMoved(key[t.partIdx], to); ok {
-				byDst[mv.Dst] = append(byDst[mv.Dst], i)
-			}
-		}
-		for dst, idxs := range byDst {
-			mirror := node.AggApply{
-				Frag: t.staging[dst], HintCol: req.HintCol,
-				GroupLen: req.GroupLen, CountPos: req.CountPos,
-			}
-			for _, i := range idxs {
-				mirror.Keys = append(mirror.Keys, req.Keys[i])
-				mirror.Deltas = append(mirror.Deltas, req.Deltas[i])
-			}
-			m.enqueue(dst, mirror)
-		}
-	case node.GIInsert:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		if mv, ok := m.migMoved(req.Val, to); ok {
-			m.enqueue(mv.Dst, node.GIInsert{GI: t.staging[mv.Dst], Val: req.Val, G: req.G})
-		}
-	case node.GIDelete:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		if mv, ok := m.migMoved(req.Val, to); ok {
-			m.enqueue(mv.Dst, node.GIDelete{GI: t.staging[mv.Dst], Val: req.Val, G: req.G})
-		}
-	case node.GIInsertBatch:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		m.mirrorGI(to, req.Vals, req.Gs, func(dst int, vals []types.Value, gs []storage.GlobalRowID) any {
-			return node.GIInsertBatch{GI: t.staging[dst], Vals: vals, Gs: gs}
-		})
-	case node.GIDeleteBatch:
-		t := m.giTapFor(req.GI)
-		if t == nil {
-			return
-		}
-		m.mirrorGI(to, req.Vals, req.Gs, func(dst int, vals []types.Value, gs []storage.GlobalRowID) any {
-			return node.GIDeleteBatch{GI: t.staging[dst], Vals: vals, Gs: gs}
-		})
-	}
-}
-
-func (m *migration) tapFor(frag string) *migTap {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return nil
-	}
-	return m.taps[frag]
-}
-
-func (m *migration) giTapFor(gi string) *migTap {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return nil
-	}
-	return m.giTaps[gi]
-}
-
-// mirrorTuples filters tuples to the migrating slots homed at `to` and
-// enqueues one mirrored request per destination.
-func (m *migration) mirrorTuples(to int, t *migTap, tuples []types.Tuple, build func(dst int, tuples []types.Tuple) any) {
-	byDst := map[int][]types.Tuple{}
-	for _, tup := range tuples {
-		if mv, ok := m.migMoved(tup[t.partIdx], to); ok {
-			byDst[mv.Dst] = append(byDst[mv.Dst], tup)
-		}
-	}
-	for dst, ts := range byDst {
-		m.enqueue(dst, build(dst, ts))
-	}
-}
-
-// mirrorGI is mirrorTuples for global-index entry batches.
-func (m *migration) mirrorGI(to int, vals []types.Value, gs []storage.GlobalRowID, build func(int, []types.Value, []storage.GlobalRowID) any) {
-	type batch struct {
-		vals []types.Value
-		gs   []storage.GlobalRowID
-	}
-	byDst := map[int]*batch{}
-	for i, v := range vals {
-		if mv, ok := m.migMoved(v, to); ok {
-			b := byDst[mv.Dst]
-			if b == nil {
-				b = &batch{}
-				byDst[mv.Dst] = b
-			}
-			b.vals = append(b.vals, v)
-			b.gs = append(b.gs, gs[i])
-		}
-	}
-	for dst, b := range byDst {
-		m.enqueue(dst, build(dst, b.vals, b.gs))
-	}
-}
-
 // cutover is the migration's commit: under exclusive claims on every
 // moving hash range plus every table and view (so no statement or locked
-// read can observe the move), it drains the queue, merges staging into
+// read can observe the move), it drains the queue, promotes staging into
 // the real fragments, fixes up global-index entries referencing moved
 // base rows, installs the target map and scrubs the source copies.
 //
@@ -1112,7 +722,7 @@ func (m *migration) mirrorGI(to int, vals []types.Value, gs []storage.GlobalRowI
 // additive). Everything AFTER the install only removes the now-stale
 // source copies, is idempotent, and rolls forward: a commit record
 // without a cleanup record makes ResumeMigrations re-run the scrub.
-func (c *Cluster) cutover(m *migration) error {
+func (c *Cluster) cutover(m *migration, structs []slotStruct) error {
 	if err := c.setPhase(m, "cutover"); err != nil {
 		return err
 	}
@@ -1121,13 +731,9 @@ func (c *Cluster) cutover(m *migration) error {
 		h = c.lockGlobal()
 	} else {
 		h = c.lm.AcquireShared()
-		var claims []lockmgr.Claim
-		claims = append(claims, c.migRangeClaims(lockmgr.X)...)
-		for _, tn := range c.cat.Tables() {
-			claims = append(claims, lockmgr.X(tn))
-		}
-		for _, vn := range c.cat.Views() {
-			claims = append(claims, lockmgr.X(vn))
+		claims := c.migRangeClaims(lockmgr.X)
+		for _, obj := range splitObjects(structs) {
+			claims = append(claims, lockmgr.X(obj[0].object))
 		}
 		h.Lock(claims...)
 		// MVCC snapshot readers hold no table claims, so the exclusive
@@ -1149,136 +755,73 @@ func (c *Cluster) cutover(m *migration) error {
 	m.stopped = true
 	m.mu.Unlock()
 
-	// Additive apply: staging → real fragments at every destination. For
-	// tables with global indexes, also record the moved rows' old (source)
-	// and new (destination) row ids for the entry fixups.
-	type movedRows struct {
-		at     int
-		rows   []storage.RowID
-		tuples []types.Tuple
-	}
-	fixDel := map[string][]movedRows{} // table → per-src old rows
-	fixIns := map[string][]movedRows{} // table → per-dst new rows
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
+	// Every moved base row gets a fresh row id at its destination, so the
+	// global-index entries referencing its source row are replaced: read
+	// the source rows of each table with global indexes before the move.
+	call := m.copy.call
+	stale := map[string][]promoted{}
+	for _, obj := range splitObjects(structs) {
+		// A table's global indexes close its object in the walk.
+		table := obj[0]
+		if !obj[len(obj)-1].gi {
+			continue
 		}
-		needRows := len(c.cat.GlobalIndexesFor(tn)) > 0
-		pi := t.Schema.MustColIndex(t.PartitionCol)
-		if needRows {
-			for _, src := range m.srcNodes() {
-				resp, err := c.migCall(m, src, node.ScanWithRows{Frag: tn})
-				if err != nil {
-					return err
-				}
-				rr := resp.(node.RowsResult)
-				mv := movedRows{at: src}
-				for i, tup := range rr.Tuples {
-					if _, ok := m.migMoved(tup[pi], src); ok {
-						mv.rows = append(mv.rows, rr.Rows[i])
-						mv.tuples = append(mv.tuples, tup)
-					}
-				}
-				if len(mv.rows) > 0 {
-					fixDel[tn] = append(fixDel[tn], mv)
-				}
-			}
-		}
-		appendFrag := func(frag string) error {
-			for _, d := range m.dsts {
-				resp, err := c.migCall(m, d, node.ScanWithRows{Frag: m.stagingName(frag)})
-				if err != nil {
-					return err
-				}
-				rr := resp.(node.RowsResult)
-				if len(rr.Tuples) == 0 {
-					continue
-				}
-				iresp, err := c.migCall(m, d, node.Insert{Frag: frag, Tuples: rr.Tuples, Unmetered: true})
-				if err != nil {
-					return err
-				}
-				if needRows && frag == tn {
-					fixIns[tn] = append(fixIns[tn], movedRows{
-						at: d, rows: iresp.(node.InsertResult).Rows, tuples: rr.Tuples,
-					})
-				}
-				m.mu.Lock()
-				m.stats.PagesCopied += 2 * c.pageCount(len(rr.Tuples))
-				m.mu.Unlock()
-			}
-			return nil
-		}
-		if err := appendFrag(tn); err != nil {
-			return err
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			if err := appendFrag(ar.Name); err != nil {
-				return err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for _, d := range m.dsts {
-				resp, err := c.migCall(m, d, node.GIScan{GI: m.stagingName(gi.Name)})
-				if err != nil {
-					return err
-				}
-				sc := resp.(node.GIScanResult)
-				if len(sc.Vals) == 0 {
-					continue
-				}
-				if _, err := c.migCall(m, d, node.GIInsertBatch{GI: gi.Name, Vals: sc.Vals, Gs: sc.Gs}); err != nil {
-					return err
-				}
-				m.mu.Lock()
-				m.stats.PagesCopied += 2 * c.pageCount(len(sc.Vals))
-				m.mu.Unlock()
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		for _, d := range m.dsts {
-			resp, err := c.migCall(m, d, node.ScanWithRows{Frag: m.stagingName(vn)})
+		for _, src := range m.copy.sources() {
+			resp, err := call(src, node.ScanWithRows{Frag: table.name})
 			if err != nil {
 				return err
 			}
 			rr := resp.(node.RowsResult)
-			if len(rr.Tuples) == 0 {
-				continue
+			p := promoted{node: src}
+			for i, t := range rr.Tuples {
+				if m.copy.route(t[table.partIdx], src) != nil {
+					p.rows = append(p.rows, rr.Rows[i])
+					p.tuples = append(p.tuples, t)
+				}
 			}
-			if _, err := c.migCall(m, d, node.Insert{Frag: vn, Tuples: rr.Tuples, Unmetered: true}); err != nil {
-				return err
-			}
-			m.mu.Lock()
-			m.stats.PagesCopied += 2 * c.pageCount(len(rr.Tuples))
-			m.mu.Unlock()
+			stale[table.name] = append(stale[table.name], p)
 		}
 	}
 
-	// Global-index fixups: every moved base row got a fresh row id at its
-	// destination, so the (value, global-row-id) entries referencing the
-	// old source rows are replaced at each value's target-map home. (The
-	// merge above already placed migrating-value entries at their new
-	// homes; the stale source-side copies fall to the post-commit scrub.)
-	for _, tn := range c.cat.Tables() {
-		gis := c.cat.GlobalIndexesFor(tn)
-		if len(gis) == 0 {
+	// Additive apply: staging → real fragments at every destination.
+	slotsTo := map[int][]int{}
+	for _, s := range sortedKeys(m.moves) {
+		d := m.moves[s].Dst
+		slotsTo[d] = append(slotsTo[d], s)
+	}
+	for _, s := range structs {
+		if !s.gi {
 			continue
 		}
-		t, err := c.cat.Table(tn)
-		if err != nil {
+		for _, d := range m.dsts {
+			resp, err := call(d, node.GILen{GI: m.copyName(s.name)})
+			if err != nil {
+				return err
+			}
+			c.addPages(m, resp.(node.GILenResult).Len)
+		}
+	}
+	moved, err := c.promoteSlots(call, structs, m.copyName, len(m.target.Owner), slotsTo)
+	if err != nil {
+		return err
+	}
+	for _, ps := range moved {
+		for _, p := range ps {
+			c.addPages(m, len(p.tuples))
+		}
+	}
+	// Global-index fixups at each value's target-map home. (The promotion
+	// already placed migrating-value entries at their new homes; the stale
+	// source-side copies fall to the post-commit scrub.)
+	for _, s := range structs {
+		if !s.gi {
+			continue
+		}
+		if err := c.reindex(call, s, m.target, stale[s.object], true); err != nil {
 			return err
 		}
-		for _, mv := range fixDel[tn] {
-			if err := c.giFixup(m, gis, t, mv.at, mv.rows, mv.tuples, false); err != nil {
-				return err
-			}
-		}
-		for _, mv := range fixIns[tn] {
-			if err := c.giFixup(m, gis, t, mv.at, mv.rows, mv.tuples, true); err != nil {
-				return err
-			}
+		if err := c.reindex(call, s, m.target, moved[s.object], false); err != nil {
+			return err
 		}
 	}
 
@@ -1299,138 +842,19 @@ func (c *Cluster) cutover(m *migration) error {
 	if err := c.setPhase(m, "cleanup"); err != nil {
 		return err
 	}
-	if err := c.scrubMisplaced(m); err != nil {
+	if err := c.deleteMisplaced(call, m.target, span(c.NumNodes())); err != nil {
 		return err
 	}
-	c.dropStaging(m.staging)
+	// Best effort: a staging fragment left on an unreachable node holds
+	// nothing live, and ResumeMigrations never revisits a cleaned-up
+	// migration.
+	_ = c.dropStaging(m.staging)
 	c.migLog(migCleanupRec{ID: m.id}, true)
 
 	m.mu.Lock()
 	m.stats.CutoverStall = time.Since(stallStart)
 	m.mu.Unlock()
 	return c.cfg.Faults.Phase("done")
-}
-
-// scrubMisplaced deletes every fragment row and global-index entry that
-// does not sit at its home under the currently installed partition map.
-// In a healthy cluster nothing is misplaced; after a cutover's map
-// install, exactly the moved rows' stale source copies are. Idempotent,
-// so ResumeMigrations can roll a half-finished cleanup forward. Callers
-// hold either the cutover claims or the global lock. A nil m scrubs
-// without cost accounting.
-func (c *Cluster) scrubMisplaced(m *migration) error {
-	call := func(to int, req any) (any, error) {
-		if m != nil {
-			return c.migCall(m, to, req)
-		}
-		return c.rawCall(to, req)
-	}
-	scrubFrag := func(frag string, partIdx int) error {
-		for n := 0; n < c.NumNodes(); n++ {
-			resp, err := call(n, node.ScanWithRows{Frag: frag})
-			if err != nil {
-				return err
-			}
-			rr := resp.(node.RowsResult)
-			var rows []storage.RowID
-			for i, tup := range rr.Tuples {
-				if c.part.NodeFor(tup[partIdx]) != n {
-					rows = append(rows, rr.Rows[i])
-				}
-			}
-			if len(rows) == 0 {
-				continue
-			}
-			if _, err := call(n, node.DeleteRows{Frag: frag, Rows: rows}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		if err := scrubFrag(tn, t.Schema.MustColIndex(t.PartitionCol)); err != nil {
-			return err
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			if err := scrubFrag(ar.Name, ar.Schema.MustColIndex(ar.PartitionCol)); err != nil {
-				return err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for n := 0; n < c.NumNodes(); n++ {
-				resp, err := call(n, node.GIScan{GI: gi.Name})
-				if err != nil {
-					return err
-				}
-				sc := resp.(node.GIScanResult)
-				var vals []types.Value
-				var gs []storage.GlobalRowID
-				for i, v := range sc.Vals {
-					if c.part.NodeFor(v) != n {
-						vals = append(vals, v)
-						gs = append(gs, sc.Gs[i])
-					}
-				}
-				if len(vals) == 0 {
-					continue
-				}
-				if _, err := call(n, node.GIDeleteBatch{GI: gi.Name, Vals: vals, Gs: gs}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return err
-		}
-		if err := scrubFrag(vn, v.Schema.MustColIndex(v.PartitionQualified())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// giFixup deletes (insert=false) or inserts (insert=true) the
-// global-index entries for the given base rows at each value's target-map
-// home.
-func (c *Cluster) giFixup(m *migration, gis []*catalog.GlobalIndex, t *catalog.Table, at int, rows []storage.RowID, tuples []types.Tuple, insert bool) error {
-	for _, gi := range gis {
-		ci := t.Schema.MustColIndex(gi.Col)
-		type batch struct {
-			vals []types.Value
-			gs   []storage.GlobalRowID
-		}
-		byHome := map[int]*batch{}
-		for i, tup := range tuples {
-			v := tup[ci]
-			home := m.target.NodeFor(v)
-			b := byHome[home]
-			if b == nil {
-				b = &batch{}
-				byHome[home] = b
-			}
-			b.vals = append(b.vals, v)
-			b.gs = append(b.gs, storage.GlobalRowID{Node: int32(at), Row: rows[i]})
-		}
-		for home, b := range byHome {
-			var req any
-			if insert {
-				req = node.GIInsertBatch{GI: gi.Name, Vals: b.vals, Gs: b.gs}
-			} else {
-				req = node.GIDeleteBatch{GI: gi.Name, Vals: b.vals, Gs: b.gs}
-			}
-			if _, err := c.migCall(m, home, req); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // abortMigration rolls a failed migration back presumed-abort style:
@@ -1458,104 +882,50 @@ func (c *Cluster) abortMigration(m *migration, cause error) {
 
 // rollbackLocked undoes an uncommitted migration's destination-side work:
 // drop staging, delete any rows the cutover's additive apply merged into
-// real destination fragments (identified by their migrating hash slot —
-// under the still-installed routing map those rows belong at the source,
-// which still has them), and, when the cutover began, rebuild every
-// global-index fragment from the base tables (entry fixups are the one
-// pre-commit mutation with no cheap inverse). Caller holds the global
-// lock.
+// real destination fragments (misplaced under the still-installed routing
+// map: they belong at the sources, which still have them), and, when the
+// cutover began, rebuild every global-index fragment from the base tables
+// (entry fixups are the one pre-commit mutation with no cheap inverse).
+// Caller holds the global lock.
 func (c *Cluster) rollbackLocked(moves map[int]migMove, staging []migStaging, cutoverBegan bool) error {
 	if cutoverBegan {
-		routing := c.part.Map()
 		dsts := map[int]bool{}
 		for _, mv := range moves {
 			dsts[mv.Dst] = true
 		}
-		scrubFrag := func(frag string, partIdx int) error {
-			for d := range dsts {
-				resp, err := c.rawCall(d, node.ScanWithRows{Frag: frag})
-				if err != nil {
-					return err
-				}
-				rr := resp.(node.RowsResult)
-				var rows []storage.RowID
-				for i, tup := range rr.Tuples {
-					if _, mig := moves[routing.Slot(tup[partIdx])]; mig {
-						rows = append(rows, rr.Rows[i])
-					}
-				}
-				if len(rows) == 0 {
-					continue
-				}
-				if _, err := c.rawCall(d, node.DeleteRows{Frag: frag, Rows: rows}); err != nil {
-					return err
-				}
-			}
-			return nil
+		if err := c.deleteMisplaced(c.rawCall, c.part.Map(), sortedKeys(dsts)); err != nil {
+			return err
 		}
-		for _, tn := range c.cat.Tables() {
-			t, err := c.cat.Table(tn)
+		structs, err := c.slotStructs()
+		if err != nil {
+			return err
+		}
+		for _, s := range structs {
+			if !s.gi {
+				continue
+			}
+			t, err := c.cat.Table(s.object)
 			if err != nil {
 				return err
 			}
-			if err := scrubFrag(tn, t.Schema.MustColIndex(t.PartitionCol)); err != nil {
-				return err
-			}
-			for _, ar := range c.cat.AuxRelsFor(tn) {
-				if err := scrubFrag(ar.Name, ar.Schema.MustColIndex(ar.PartitionCol)); err != nil {
+			for n := 0; n < c.NumNodes(); n++ {
+				if _, err := c.rebuildGIFrag(s.name, s.hintCol, s.distClustered, t, n); err != nil {
 					return err
-				}
-			}
-		}
-		for _, vn := range c.cat.Views() {
-			v, err := c.cat.View(vn)
-			if err != nil {
-				return err
-			}
-			if err := scrubFrag(vn, v.Schema.MustColIndex(v.PartitionQualified())); err != nil {
-				return err
-			}
-		}
-		for _, tn := range c.cat.Tables() {
-			t, err := c.cat.Table(tn)
-			if err != nil {
-				return err
-			}
-			for _, gi := range c.cat.GlobalIndexesFor(tn) {
-				for n := 0; n < c.NumNodes(); n++ {
-					if _, err := c.rebuildGIFrag(gi.Name, gi.Col, gi.DistClustered, t, n); err != nil {
-						return err
-					}
 				}
 			}
 		}
 	}
-	return c.dropStagingStrict(staging)
+	return c.dropStaging(staging)
 }
 
-// dropStaging removes staging fragments, tolerating unreachable nodes and
-// fragments that were never created (cleanup is idempotent).
-func (c *Cluster) dropStaging(staging []migStaging) {
-	for _, st := range staging {
-		var req any = node.DropFragment{Name: st.Name}
-		if st.GI {
-			req = node.DropGlobalIndexFrag{Name: st.Name}
-		}
-		_, _ = c.rawCall(st.Node, req)
-	}
-}
-
-// dropStagingStrict removes staging fragments, reporting unreachable
-// nodes (so an abort with a dead destination stays undecided for
-// ResumeMigrations) while tolerating never-created fragments.
-func (c *Cluster) dropStagingStrict(staging []migStaging) error {
+// dropStaging removes staging fragments, tolerating fragments that were
+// never created (cleaning up an early abort) and reporting any other
+// failure (an unreachable node, so an abort with a dead destination stays
+// undecided for ResumeMigrations).
+func (c *Cluster) dropStaging(staging []migStaging) error {
 	var firstErr error
 	for _, st := range staging {
-		var req any = node.DropFragment{Name: st.Name}
-		if st.GI {
-			req = node.DropGlobalIndexFrag{Name: st.Name}
-		}
-		if _, err := c.rawCall(st.Node, req); err != nil && !isUnknownFrag(err) && firstErr == nil {
+		if _, err := c.rawCall(st.Node, dropReq(st.GI, st.Name)); err != nil && !isUnknownFrag(err) && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -1628,10 +998,10 @@ func (c *Cluster) resumeMigrationsLocked() error {
 		case aborted[start.ID] || (committed[start.ID] && cleaned[start.ID]):
 			continue
 		case committed[start.ID]:
-			if err := c.scrubMisplaced(nil); err != nil {
+			if err := c.deleteMisplaced(c.rawCall, c.part.Map(), span(c.NumNodes())); err != nil {
 				return fmt.Errorf("%w %d: roll-forward cleanup: %w", ErrMigration, start.ID, err)
 			}
-			if err := c.dropStagingStrict(start.Staging); err != nil {
+			if err := c.dropStaging(start.Staging); err != nil {
 				return fmt.Errorf("%w %d: roll-forward cleanup: %w", ErrMigration, start.ID, err)
 			}
 			c.migLog(migCleanupRec{ID: start.ID}, true)

@@ -228,7 +228,30 @@ func TestExpandThenDrainRoundTrip(t *testing.T) {
 
 // TestMigrationCostMetrics sanity-checks the cost accounting: stats are
 // monotone, the queue metrics are coherent, and Topology idles correctly.
+// A serial expansion with no concurrent DML copies a fixed set of rows, so
+// RowsCopied and PagesCopied are pinned exactly per strategy.
 func TestMigrationCostMetrics(t *testing.T) {
+	for _, tc := range []struct {
+		strat       catalog.Strategy
+		rows, pages int64
+	}{
+		{catalog.StrategyNaive, 16, 28},
+		{catalog.StrategyAuxRel, 20, 34},
+		{catalog.StrategyGlobalIndex, 20, 34},
+	} {
+		c, _ := newElasticCluster(t, tc.strat)
+		if _, err := c.AddNode(); err != nil {
+			t.Fatal(err)
+		}
+		st, ok := c.LastMigration()
+		if !ok {
+			t.Fatal("no migration recorded")
+		}
+		if st.RowsCopied != tc.rows || st.PagesCopied != tc.pages {
+			t.Errorf("%s: RowsCopied/PagesCopied = %d/%d, want %d/%d",
+				tc.strat, st.RowsCopied, st.PagesCopied, tc.rows, tc.pages)
+		}
+	}
 	c, _ := newElasticCluster(t, catalog.StrategyAuxRel)
 	if _, err := c.AddNode(); err != nil {
 		t.Fatal(err)

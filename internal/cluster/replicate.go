@@ -3,17 +3,15 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"joinview/internal/catalog"
 	"joinview/internal/fault"
 	"joinview/internal/hashpart"
-	"joinview/internal/lockmgr"
 	"joinview/internal/maintain"
 	"joinview/internal/netsim"
 	"joinview/internal/node"
-	"joinview/internal/storage"
 	"joinview/internal/types"
 	"joinview/internal/wal"
 )
@@ -30,10 +28,11 @@ import (
 // probes, global-index lookups — is unchanged and duplicate-free; the
 // RF=1 and RF>=2 healthy paths are byte-identical.
 //
-// Write path. The resilient delivery layer mirrors every applied mutating
-// sub-request (mirrorMutation, called next to the migration tap): tuples
-// and index entries are bucketed by slot and re-delivered to each
-// follower's shadow, inside the same statement scope — under Durability
+// Write path. The resilient delivery layer feeds every applied mutating
+// sub-request to the slot-copy engine's live fan-out (slotcopy.go), whose
+// replication policy buckets tuples and index entries by slot and
+// re-delivers them to each follower's shadow, inside the same statement
+// scope — under Durability
 // the mirrors carry the statement's TID, so followers participate in the
 // presumed-abort two-phase commit. A mirror failure never fails the
 // statement: a dead follower is already in the degraded set (the next
@@ -42,9 +41,9 @@ import (
 //
 // Failover. When a node is down (crash, MarkNodeDown, or an opened
 // circuit breaker, which under replication marks the node down), heal()
-// promotes each of its slots to the first live in-sync follower:
-// PromoteSlots moves the slot's rows from the follower's shadow into its
-// main fragments, global indexes re-home (GIPromoteSlots) and swap
+// promotes each of its slots to the first live in-sync follower with the
+// engine's promote step: the slot's rows and index entries move from the
+// follower's shadows into its main structures, global indexes swap
 // dangling row references to the promoted copies (GIScrubNode +
 // reinsert), and a new map without the victim installs. From then on the
 // victim is "failed over": DML commits on the survivors and broadcasts
@@ -53,11 +52,11 @@ import (
 // Repair. ReplicateRepair brings the cluster back to full strength
 // online: down nodes restart and are wiped back to empty cataloged
 // fragments, stale followers' shadows are wiped, a deficit plan picks new
-// followers for under-replicated slots, and each object is copied
-// primary→shadow under that object's exclusive claim while DML on every
-// other object proceeds; copied objects are "armed" so concurrent writers
-// mirror to the new followers too, and a final map install makes them
-// real.
+// followers for under-replicated slots, and the engine's snapshot copier
+// copies each object primary→shadow under a claim that blocks only that
+// object's writers; copied objects are "armed" so concurrent writers
+// mirror to the new followers too (and only then — a rebuilt shadow takes
+// no write before its copy), and a final map install makes them real.
 
 // replOn reports whether K-way replication is configured.
 func (c *Cluster) replOn() bool { return c.cfg.ReplicationFactor > 1 }
@@ -72,87 +71,33 @@ func (c *Cluster) failIfReplicated(op string) error {
 	return nil
 }
 
-// replShadowSuffix marks follower shadow fragments. Migration staging
-// fragments use "~mig", so skipping every name containing '~' covers both.
+// replShadowSuffix marks follower shadow fragments (migration staging
+// fragments use "~mig").
 const replShadowSuffix = "~r"
 
 // shadowName returns the follower-shadow fragment name of a cataloged
 // fragment or global index.
 func shadowName(name string) string { return name + replShadowSuffix }
 
-// replSkip reports whether a fragment name is outside replication: shadow
-// and staging fragments (mirroring them would recurse) and temporary query
-// fragments (partition-local scratch, gone at statement end).
-func replSkip(name string) bool {
-	return strings.Contains(name, "~") || strings.HasPrefix(name, "__q")
-}
-
-// replFragInfo resolves a cataloged fragment to its partition-column index
-// and name (the DeleteMatch hint column for shadow deletes). ok is false
-// for fragments replication does not track (temps, unknown names).
-func (c *Cluster) replFragInfo(frag string) (partIdx int, hintCol string, ok bool) {
-	if t, err := c.cat.Table(frag); err == nil {
-		return t.Schema.MustColIndex(t.PartitionCol), t.PartitionCol, true
-	}
-	if ar, err := c.cat.AuxRel(frag); err == nil {
-		return ar.Schema.MustColIndex(ar.PartitionCol), ar.PartitionCol, true
-	}
-	if v, err := c.cat.View(frag); err == nil {
-		q := v.PartitionQualified()
-		return v.Schema.MustColIndex(q), q, true
-	}
-	return 0, "", false
-}
-
-// replGIKnown reports whether a global index is cataloged (mirrors skip
-// unknown index names).
-func (c *Cluster) replGIKnown(gi string) bool {
-	_, err := c.cat.GlobalIndex(gi)
-	return err == nil
-}
-
-// mirrorTargets returns the follower nodes that must receive the slot's
-// write for the named fragment: the installed replica set minus down and
-// evicted followers, plus the in-flight repair round's targets once the
-// fragment's copy is armed.
-func (c *Cluster) mirrorTargets(m *replMirrorCtx, frag string, slot int) []int {
-	var out []int
-	for _, f := range m.pm.Followers(slot) {
-		if m.skip[f] {
-			continue
-		}
-		out = append(out, f)
-	}
-	if m.sess != nil && m.sess.isArmed(frag) {
-		for _, f := range m.sess.targets[slot] {
-			if m.down[f] || containsInt(out, f) {
-				continue
-			}
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// replMirrorCtx snapshots the routing state one mirror fan-out uses.
-type replMirrorCtx struct {
+// replSink is the replication policy's live fan-out sink for one
+// applied write: the routing state it mirrors by, snapshotted once.
+type replSink struct {
+	c    *Cluster
 	pm   hashpart.Map
 	skip map[int]bool // down or evicted: no Repl-based mirrors
 	down map[int]bool
 	sess *replRepair
+	// armed: the in-flight repair round has copied the written structure.
+	armed bool
 }
 
-func (c *Cluster) mirrorCtx() *replMirrorCtx {
-	m := &replMirrorCtx{pm: c.part.Map(), skip: map[int]bool{}, down: map[int]bool{}}
+// replication is the replica policy of the live fan-out: every write is
+// mirrored to the followers of its slot.
+type replication struct{ c *Cluster }
+
+func (r replication) sinkFor(name string) copySink {
+	c := r.c
+	m := &replSink{c: c, pm: c.part.Map(), skip: map[int]bool{}, down: map[int]bool{}}
 	c.dmu.Lock()
 	for n := range c.downNodes {
 		m.skip[n] = true
@@ -165,222 +110,44 @@ func (c *Cluster) mirrorCtx() *replMirrorCtx {
 	}
 	m.sess = c.repairSess
 	c.rmu.Unlock()
+	m.armed = m.sess != nil && m.sess.copy.isArmed(name)
 	return m
 }
 
-// mirrorMutation fans one successfully applied mutating request out to the
-// follower shadows of the slots it touched. Called from the resilient
-// delivery layer next to the migration tap, on the normal path, the
-// broadcast path and in-doubt resolution — so shadows see exactly the
-// physical history the primaries see, compensations included. Recovery
-// and repair traffic (rawCall/rawDeliver) is not mirrored.
-func (c *Cluster) mirrorMutation(to int, wreq, resp any) {
-	if !c.replOn() {
-		return
-	}
-	if s, ok := wreq.(node.Seq); ok {
-		wreq = s.Req
-	}
-	switch req := wreq.(type) {
-	case node.Insert:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, _, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, req.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.Insert{Frag: frag, Tuples: tuples, Unmetered: req.Unmetered}
-		})
-	case node.RestoreRows:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, _, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, req.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.Insert{Frag: frag, Tuples: tuples, Unmetered: true}
-		})
-	case node.DeleteRows:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, hint, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, dr.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: frag, HintCol: hint, Tuples: tuples}
-		})
-	case node.DeleteMatch:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, hint, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		dr, ok := resp.(node.DeleteResult)
-		if !ok {
-			return
-		}
-		c.mirrorTuples(req.Frag, pi, dr.Tuples, func(frag string, tuples []types.Tuple) any {
-			return node.DeleteMatch{Frag: frag, HintCol: hint, Tuples: tuples}
-		})
-	case node.AggApply:
-		if replSkip(req.Frag) {
-			return
-		}
-		pi, _, ok := c.replFragInfo(req.Frag)
-		if !ok {
-			return
-		}
-		m := c.mirrorCtx()
-		byDst := map[int][]int{}
-		for i, key := range req.Keys {
-			if pi >= len(key) {
-				continue
-			}
-			slot := m.pm.Slot(key[pi])
-			for _, f := range c.mirrorTargets(m, req.Frag, slot) {
-				byDst[f] = append(byDst[f], i)
-			}
-		}
-		for _, f := range sortedKeys(byDst) {
-			mirror := node.AggApply{
-				Frag: shadowName(req.Frag), HintCol: req.HintCol,
-				GroupLen: req.GroupLen, CountPos: req.CountPos,
-			}
-			for _, i := range byDst[f] {
-				mirror.Keys = append(mirror.Keys, req.Keys[i])
-				mirror.Deltas = append(mirror.Deltas, req.Deltas[i])
-			}
-			c.deliverMirror(f, mirror, len(mirror.Keys))
-		}
-	case node.GIInsert:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, []types.Value{req.Val}, []storage.GlobalRowID{req.G}, true,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIInsertBatch{GI: gi, Vals: vals, Gs: gs, Metered: true}
-			})
-	case node.GIDelete:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, []types.Value{req.Val}, []storage.GlobalRowID{req.G}, true,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIDeleteBatch{GI: gi, Vals: vals, Gs: gs}
-			})
-	case node.GIInsertBatch:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, req.Vals, req.Gs, req.Metered,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIInsertBatch{GI: gi, Vals: vals, Gs: gs, Metered: req.Metered}
-			})
-	case node.GIDeleteBatch:
-		if replSkip(req.GI) || !c.replGIKnown(req.GI) {
-			return
-		}
-		c.mirrorGI(req.GI, req.Vals, req.Gs, true,
-			func(gi string, vals []types.Value, gs []storage.GlobalRowID) any {
-				return node.GIDeleteBatch{GI: gi, Vals: vals, Gs: gs}
-			})
-	case node.CreateFragment:
-		if replSkip(req.Name) {
-			return
-		}
-		c.deliverMirror(to, node.CreateFragment{
-			Name: shadowName(req.Name), Schema: req.Schema,
-			ClusterCol: req.ClusterCol, PageRows: req.PageRows,
-		}, 0)
-	case node.CreateGlobalIndex:
-		if replSkip(req.Name) {
-			return
-		}
-		c.deliverMirror(to, node.CreateGlobalIndex{
-			Name: shadowName(req.Name), DistClustered: req.DistClustered,
-		}, 0)
-	case node.DropFragment:
-		if replSkip(req.Name) {
-			return
-		}
-		// The catalog entry is already gone when the drop broadcast runs,
-		// so the mirror drops by name unconditionally: at RF >= 2 every
-		// cataloged fragment has a shadow on every node.
-		c.deliverMirror(to, node.DropFragment{Name: shadowName(req.Name)}, 0)
-	case node.DropGlobalIndexFrag:
-		if replSkip(req.Name) {
-			return
-		}
-		c.deliverMirror(to, node.DropGlobalIndexFrag{Name: shadowName(req.Name)}, 0)
-	}
-}
-
-// mirrorTuples buckets tuples by follower of their slot and delivers one
-// shadow write per follower.
-func (c *Cluster) mirrorTuples(frag string, partIdx int, tuples []types.Tuple, build func(frag string, tuples []types.Tuple) any) {
-	if len(tuples) == 0 {
-		return
-	}
-	m := c.mirrorCtx()
-	byDst := map[int][]types.Tuple{}
-	for _, t := range tuples {
-		if partIdx >= len(t) {
+// targets returns the followers that must receive a write to v's slot:
+// the installed replica set minus down and evicted followers, and minus
+// the followers a repair round is rebuilding until the written
+// structure's copy is armed — from then on the round's targets too.
+func (m *replSink) targets(v types.Value, _ int) []int {
+	slot := m.pm.Slot(v)
+	var out []int
+	for _, f := range m.pm.Followers(slot) {
+		if m.skip[f] || (m.sess != nil && m.sess.dirty[f] && !m.armed) {
 			continue
 		}
-		slot := m.pm.Slot(t[partIdx])
-		for _, f := range c.mirrorTargets(m, frag, slot) {
-			byDst[f] = append(byDst[f], t)
+		out = append(out, f)
+	}
+	if m.armed {
+		for _, f := range m.sess.copy.targets[slot] {
+			if !m.down[f] && !slices.Contains(out, f) {
+				out = append(out, f)
+			}
 		}
 	}
-	for _, f := range sortedKeys(byDst) {
-		c.deliverMirror(f, build(shadowName(frag), byDst[f]), len(byDst[f]))
-	}
+	return out
 }
 
-// mirrorGI buckets global-index entries by follower of their value's slot
-// and delivers one shadow write per follower.
-func (c *Cluster) mirrorGI(gi string, vals []types.Value, gs []storage.GlobalRowID, _ bool, build func(gi string, vals []types.Value, gs []storage.GlobalRowID) any) {
-	if len(vals) == 0 || len(vals) != len(gs) {
-		return
-	}
-	m := c.mirrorCtx()
-	type pair struct {
-		vals []types.Value
-		gs   []storage.GlobalRowID
-	}
-	byDst := map[int]*pair{}
-	for i, v := range vals {
-		slot := m.pm.Slot(v)
-		for _, f := range c.mirrorTargets(m, gi, slot) {
-			p := byDst[f]
-			if p == nil {
-				p = &pair{}
-				byDst[f] = p
-			}
-			p.vals = append(p.vals, v)
-			p.gs = append(p.gs, gs[i])
-		}
-	}
-	dsts := make([]int, 0, len(byDst))
-	for f := range byDst {
-		dsts = append(dsts, f)
-	}
-	sort.Ints(dsts)
-	for _, f := range dsts {
-		p := byDst[f]
-		c.deliverMirror(f, build(shadowName(gi), p.vals, p.gs), len(p.vals))
+func (m *replSink) copyName(name string) string { return shadowName(name) }
+
+func (m *replSink) send(dst int, req any, n int) { m.c.deliverMirror(dst, req, n) }
+
+func (m *replSink) unmetered() bool { return false }
+
+// mirrorToFollowers fans one applied mutating request out to the follower
+// shadows of the slots it touched.
+func (c *Cluster) mirrorToFollowers(to int, req, resp any) {
+	if c.replOn() {
+		c.fanOut(to, req, resp, replication{c})
 	}
 }
 
@@ -408,12 +175,12 @@ func (c *Cluster) mirrorAsIfApplied(to int, req any) {
 	case node.DeleteMatch:
 		// Synthesize the response the mirror transform reads: the tuples
 		// were written by this statement, so every one of them matches.
-		c.mirrorMutation(to, req, node.DeleteResult{Tuples: r.Tuples})
+		c.mirrorToFollowers(to, req, node.DeleteResult{Tuples: r.Tuples})
 	case node.DeleteRows:
 		// Row ids alone cannot locate the shadow copies; callers with the
 		// rows' contents use undoCallRows instead.
 	default:
-		c.mirrorMutation(to, req, nil)
+		c.mirrorToFollowers(to, req, nil)
 	}
 }
 
@@ -638,118 +405,36 @@ func (c *Cluster) failoverLocked() error {
 	}
 	nm.Epoch++
 
-	// Move the promoted slots' data shadow→main on each new owner, fixing
-	// global indexes as the base rows change identity.
-	mod := len(m.Owner)
-	owners := sortedKeys(promoted)
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		pi := t.Schema.MustColIndex(t.PartitionCol)
-		type promo struct {
-			node   int
-			tuples []types.Tuple
-			rows   []storage.RowID
-		}
-		var promos []promo
-		for _, f := range owners {
-			resp, err := c.rawCall(f, node.PromoteSlots{
-				Src: shadowName(tn), Dst: tn, PartIdx: pi, Mod: mod, Slots: promoted[f],
-			})
-			if err != nil {
-				return fmt.Errorf("cluster: promoting %q slots at node %d: %w", tn, f, err)
-			}
-			pr := resp.(node.PromoteResult)
-			promos = append(promos, promo{node: f, tuples: pr.Tuples, rows: pr.Rows})
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			api := ar.Schema.MustColIndex(ar.PartitionCol)
-			for _, f := range owners {
-				if _, err := c.rawCall(f, node.PromoteSlots{
-					Src: shadowName(ar.Name), Dst: ar.Name, PartIdx: api, Mod: mod, Slots: promoted[f],
-				}); err != nil {
-					return fmt.Errorf("cluster: promoting %q slots at node %d: %w", ar.Name, f, err)
-				}
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			// Re-home the victim-owned index slots from follower shadows.
-			for _, f := range owners {
-				if _, err := c.rawCall(f, node.GIPromoteSlots{
-					Src: shadowName(gi.Name), Dst: gi.Name, Mod: mod, Slots: promoted[f],
-				}); err != nil {
-					return fmt.Errorf("cluster: promoting %q slots at node %d: %w", gi.Name, f, err)
-				}
-			}
-			// Drop every entry still pointing at a victim's rows, then
-			// re-register the promoted copies. Index entries only ever
-			// reference primary copies, so scrub + reinsert is complete.
-			for n := 0; n < c.NumNodes(); n++ {
-				if c.isDown(n) {
-					continue
-				}
-				for _, v := range victims {
-					if _, err := c.rawCall(n, node.GIScrubNode{GI: gi.Name, Node: v}); err != nil {
-						return fmt.Errorf("cluster: scrubbing %q at node %d: %w", gi.Name, n, err)
-					}
-					if _, err := c.rawCall(n, node.GIScrubNode{GI: shadowName(gi.Name), Node: v}); err != nil {
-						return fmt.Errorf("cluster: scrubbing %q at node %d: %w", shadowName(gi.Name), n, err)
-					}
-				}
-			}
-			ci := t.Schema.MustColIndex(gi.Col)
-			type ent struct {
-				vals []types.Value
-				gs   []storage.GlobalRowID
-			}
-			main := map[int]*ent{}
-			shadow := map[int]*ent{}
-			add := func(set map[int]*ent, n int, v types.Value, g storage.GlobalRowID) {
-				e := set[n]
-				if e == nil {
-					e = &ent{}
-					set[n] = e
-				}
-				e.vals = append(e.vals, v)
-				e.gs = append(e.gs, g)
-			}
-			for _, p := range promos {
-				for i, tup := range p.tuples {
-					v := tup[ci]
-					g := storage.GlobalRowID{Node: int32(p.node), Row: p.rows[i]}
-					slot := nm.Slot(v)
-					add(main, nm.Owner[slot], v, g)
-					for _, fol := range nm.Repl[slot] {
-						add(shadow, fol, v, g)
-					}
-				}
-			}
-			for _, n := range sortedKeys(main) {
-				if _, err := c.rawCall(n, node.GIInsertBatch{GI: gi.Name, Vals: main[n].vals, Gs: main[n].gs}); err != nil {
-					return fmt.Errorf("cluster: re-registering %q at node %d: %w", gi.Name, n, err)
-				}
-			}
-			for _, n := range sortedKeys(shadow) {
-				if _, err := c.rawCall(n, node.GIInsertBatch{GI: shadowName(gi.Name), Vals: shadow[n].vals, Gs: shadow[n].gs}); err != nil {
-					return fmt.Errorf("cluster: re-registering %q at node %d: %w", shadowName(gi.Name), n, err)
-				}
-			}
-		}
+	// Move the promoted slots' rows and entries shadow→main on each new
+	// owner, then swap the global-index entries still pointing at a
+	// victim's rows for the promoted copies. Index entries only ever
+	// reference primary copies, so scrub + reinsert is complete.
+	structs, err := c.slotStructs()
+	if err != nil {
+		return err
 	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return err
+	moved, err := c.promoteSlots(c.rawCall, structs, shadowName, len(m.Owner), promoted)
+	if err != nil {
+		return err
+	}
+	for _, s := range structs {
+		if !s.gi {
+			continue
 		}
-		vpi := v.Schema.MustColIndex(v.PartitionQualified())
-		for _, f := range owners {
-			if _, err := c.rawCall(f, node.PromoteSlots{
-				Src: shadowName(vn), Dst: vn, PartIdx: vpi, Mod: mod, Slots: promoted[f],
-			}); err != nil {
-				return fmt.Errorf("cluster: promoting %q slots at node %d: %w", vn, f, err)
+		for n := 0; n < c.NumNodes(); n++ {
+			if c.isDown(n) {
+				continue
 			}
+			for _, v := range victims {
+				for _, name := range []string{s.name, shadowName(s.name)} {
+					if _, err := c.rawCall(n, node.GIScrubNode{GI: name, Node: v}); err != nil {
+						return fmt.Errorf("cluster: scrubbing %q at node %d: %w", name, n, err)
+					}
+				}
+			}
+		}
+		if err := c.reindex(c.rawCall, s, nm, moved[s.object], false); err != nil {
+			return err
 		}
 	}
 
@@ -779,35 +464,11 @@ func (c *Cluster) failoverLocked() error {
 // replRepair is the coordinator-side state of one in-flight
 // re-replication round.
 type replRepair struct {
-	targets map[int][]int // slot -> followers being (re)copied
-	phase   string
-	total   int // objects to copy
-	done    int
-	armedMu chan struct{} // 1-token mutex usable from mirror hot path
-	armed   map[string]bool
-}
-
-func newReplRepair(targets map[int][]int, total int) *replRepair {
-	r := &replRepair{targets: targets, phase: "copy", total: total,
-		armedMu: make(chan struct{}, 1), armed: map[string]bool{}}
-	r.armedMu <- struct{}{}
-	return r
-}
-
-func (r *replRepair) arm(names ...string) {
-	<-r.armedMu
-	for _, n := range names {
-		r.armed[n] = true
-	}
-	r.done++
-	r.armedMu <- struct{}{}
-}
-
-func (r *replRepair) isArmed(name string) bool {
-	<-r.armedMu
-	ok := r.armed[name]
-	r.armedMu <- struct{}{}
-	return ok
+	// copy is the primary→shadow copy of the under-replicated slots.
+	copy *slotCopy
+	// dirty holds the nodes whose shadows the round wipes and recopies.
+	dirty map[int]bool
+	total int // objects to copy
 }
 
 // ReplRepairStatus describes an in-flight ReplicateRepair round.
@@ -823,9 +484,10 @@ type ReplRepairStatus struct {
 // every down node is restarted and wiped back to empty cataloged
 // fragments, evicted (stale) followers' shadows are wiped, a deficit plan
 // assigns new followers to under-replicated slots, and each cataloged
-// object's rows are copied primary→shadow under that object's exclusive
-// claim — DML on other objects keeps running, and writers to a copied
-// object mirror to the new followers from the moment its copy completes.
+// object's rows are copied primary→shadow under a claim that blocks that
+// object's writers — DML on other objects keeps running, and writers to a
+// copied object mirror to the new followers from the moment its copy
+// completes.
 // The new replica map installs at the end.
 func (c *Cluster) ReplicateRepair() error {
 	if !c.replOn() {
@@ -900,7 +562,11 @@ func (c *Cluster) ReplicateRepair() error {
 			dirty[cand] = true
 		}
 		nm.Repl[s] = keep
-		for _, f := range keep {
+	}
+	// A dirty node's shadows are wiped whole, so it is a copy target for
+	// every slot it follows, including slots planned before it turned dirty.
+	for s, fs := range nm.Repl {
+		for _, f := range fs {
 			if dirty[f] {
 				targets[s] = append(targets[s], f)
 				restored++
@@ -913,14 +579,22 @@ func (c *Cluster) ReplicateRepair() error {
 		if revived[n] {
 			continue
 		}
-		if err := c.wipeShadowsLocked(n); err != nil {
+		if err := c.wipeLocked(n, false); err != nil {
 			h.Release()
 			return err
 		}
 	}
-	tables := c.cat.Tables()
-	views := c.cat.Views()
-	sess := newReplRepair(targets, len(tables)+len(views))
+	structs, err := c.slotStructs()
+	if err != nil {
+		h.Release()
+		return err
+	}
+	objects := splitObjects(structs)
+	sess := &replRepair{
+		copy:  newSlotCopy(m, targets, shadowName, c.rawCall),
+		dirty: dirty,
+		total: len(objects),
+	}
 	c.rmu.Lock()
 	c.repairSess = sess
 	c.rmu.Unlock()
@@ -933,16 +607,11 @@ func (c *Cluster) ReplicateRepair() error {
 		return err
 	}
 
-	// Phase B (online): copy each object's rows to its dirty followers
-	// under the object's exclusive claim, arming it before release so
-	// subsequent writers mirror to the new followers too.
-	for _, tn := range tables {
-		if err := c.repairCopyTable(sess, tn); err != nil {
-			return fail(err)
-		}
-	}
-	for _, vn := range views {
-		if err := c.repairCopyView(sess, vn); err != nil {
+	// Phase B (online): copy each object's rows to its dirty followers,
+	// arming it before its claim is released so subsequent writers mirror
+	// to the new followers too.
+	for _, obj := range objects {
+		if err := c.copyObject(sess.copy, obj); err != nil {
 			return fail(err)
 		}
 	}
@@ -1006,257 +675,30 @@ func (c *Cluster) reviveNodeLocked(n int) error {
 		c.dmu.Unlock()
 	}
 	c.breakerReset(n)
-	return c.wipeNodeLocked(n)
+	return c.wipeLocked(n, true)
 }
 
-// wipeNodeLocked drops and recreates every cataloged fragment, index and
-// global index (main and shadow) on one node, leaving it empty.
-func (c *Cluster) wipeNodeLocked(n int) error {
-	drop := func(name string, gi bool) {
-		// Tolerant: the node may have crashed before some shadow existed.
-		if gi {
-			_, _ = c.rawCall(n, node.DropGlobalIndexFrag{Name: name})
-		} else {
-			_, _ = c.rawCall(n, node.DropFragment{Name: name})
-		}
-	}
-	mk := func(name string, schema *types.Schema, clusterCol string) error {
-		_, err := c.rawCall(n, node.CreateFragment{
-			Name: name, Schema: schema, ClusterCol: clusterCol, PageRows: c.cfg.PageRows,
-		})
-		return err
-	}
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{tn, shadowName(tn)} {
-			drop(name, false)
-			if err := mk(name, t.Schema, t.ClusterCol); err != nil {
-				return err
-			}
-		}
-		for _, ix := range t.Indexes {
-			if _, err := c.rawCall(n, node.CreateIndex{Frag: tn, Name: ix.Name, Col: ix.Col}); err != nil {
-				return err
-			}
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			for _, name := range []string{ar.Name, shadowName(ar.Name)} {
-				drop(name, false)
-				if err := mk(name, ar.Schema, ar.PartitionCol); err != nil {
-					return err
-				}
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			for _, name := range []string{gi.Name, shadowName(gi.Name)} {
-				drop(name, true)
-				if _, err := c.rawCall(n, node.CreateGlobalIndex{Name: name, DistClustered: gi.DistClustered}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{vn, shadowName(vn)} {
-			drop(name, false)
-			if err := mk(name, v.Schema, v.PartitionQualified()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// wipeShadowsLocked drops and recreates only the shadow fragments of one
-// (live) node: its main fragments hold current primary copies and are
-// untouched. Used for evicted-stale followers before recopy.
-func (c *Cluster) wipeShadowsLocked(n int) error {
-	for _, tn := range c.cat.Tables() {
-		t, err := c.cat.Table(tn)
-		if err != nil {
-			return err
-		}
-		_, _ = c.rawCall(n, node.DropFragment{Name: shadowName(tn)})
-		if _, err := c.rawCall(n, node.CreateFragment{
-			Name: shadowName(tn), Schema: t.Schema, ClusterCol: t.ClusterCol, PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-		for _, ar := range c.cat.AuxRelsFor(tn) {
-			_, _ = c.rawCall(n, node.DropFragment{Name: shadowName(ar.Name)})
-			if _, err := c.rawCall(n, node.CreateFragment{
-				Name: shadowName(ar.Name), Schema: ar.Schema, ClusterCol: ar.PartitionCol, PageRows: c.cfg.PageRows,
-			}); err != nil {
-				return err
-			}
-		}
-		for _, gi := range c.cat.GlobalIndexesFor(tn) {
-			_, _ = c.rawCall(n, node.DropGlobalIndexFrag{Name: shadowName(gi.Name)})
-			if _, err := c.rawCall(n, node.CreateGlobalIndex{Name: shadowName(gi.Name), DistClustered: gi.DistClustered}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, vn := range c.cat.Views() {
-		v, err := c.cat.View(vn)
-		if err != nil {
-			return err
-		}
-		_, _ = c.rawCall(n, node.DropFragment{Name: shadowName(vn)})
-		if _, err := c.rawCall(n, node.CreateFragment{
-			Name: shadowName(vn), Schema: v.Schema, ClusterCol: v.PartitionQualified(), PageRows: c.cfg.PageRows,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// repairSlotSets inverts the session's slot→targets table into per-node
-// slot membership sets.
-func repairSlotSets(targets map[int][]int) map[int]map[int]bool {
-	out := map[int]map[int]bool{}
-	for s, fs := range targets {
-		for _, f := range fs {
-			if out[f] == nil {
-				out[f] = map[int]bool{}
-			}
-			out[f][s] = true
-		}
-	}
-	return out
-}
-
-// repairCopyFrag copies the slot shares of one fragment from the
-// primaries into the dirty followers' shadows. Caller holds the object's
-// exclusive claim.
-func (c *Cluster) repairCopyFrag(sess *replRepair, frag string, partIdx int) error {
-	slotsOf := repairSlotSets(sess.targets)
-	if len(slotsOf) == 0 {
-		return nil
-	}
-	m := c.part.Map()
-	byDst := map[int][]types.Tuple{}
-	for src := 0; src < c.NumNodes(); src++ {
-		resp, err := c.rawDeliver(src, node.AllRows{Frag: frag})
-		if err != nil {
-			return fmt.Errorf("cluster: repair copy of %q from node %d: %w", frag, src, err)
-		}
-		for _, t := range resp.(node.RowsResult).Tuples {
-			if partIdx >= len(t) {
-				continue
-			}
-			s := m.Slot(t[partIdx])
-			for f, set := range slotsOf {
-				if set[s] {
-					byDst[f] = append(byDst[f], t)
-				}
-			}
-		}
-	}
-	for _, f := range sortedKeys(byDst) {
-		if _, err := c.rawCall(f, node.Insert{Frag: shadowName(frag), Tuples: byDst[f], Unmetered: true}); err != nil {
-			return fmt.Errorf("cluster: repair copy into %q at node %d: %w", shadowName(frag), f, err)
-		}
-	}
-	return nil
-}
-
-// repairCopyGI copies the slot shares of one global index from the
-// primaries into the dirty followers' shadow index fragments.
-func (c *Cluster) repairCopyGI(sess *replRepair, gi string) error {
-	slotsOf := repairSlotSets(sess.targets)
-	if len(slotsOf) == 0 {
-		return nil
-	}
-	m := c.part.Map()
-	type ent struct {
-		vals []types.Value
-		gs   []storage.GlobalRowID
-	}
-	byDst := map[int]*ent{}
-	for src := 0; src < c.NumNodes(); src++ {
-		resp, err := c.rawDeliver(src, node.GIScan{GI: gi})
-		if err != nil {
-			return fmt.Errorf("cluster: repair copy of %q from node %d: %w", gi, src, err)
-		}
-		gr := resp.(node.GIScanResult)
-		for i, v := range gr.Vals {
-			s := m.Slot(v)
-			for f, set := range slotsOf {
-				if set[s] {
-					e := byDst[f]
-					if e == nil {
-						e = &ent{}
-						byDst[f] = e
-					}
-					e.vals = append(e.vals, v)
-					e.gs = append(e.gs, gr.Gs[i])
-				}
-			}
-		}
-	}
-	for _, f := range sortedKeys(byDst) {
-		e := byDst[f]
-		if _, err := c.rawCall(f, node.GIInsertBatch{GI: shadowName(gi), Vals: e.vals, Gs: e.gs}); err != nil {
-			return fmt.Errorf("cluster: repair copy into %q at node %d: %w", shadowName(gi), f, err)
-		}
-	}
-	return nil
-}
-
-// repairCopyTable copies one base table plus its auxiliary relations and
-// global indexes under an exclusive claim on the table (every writer of
-// those structures holds it too).
-func (c *Cluster) repairCopyTable(sess *replRepair, tn string) error {
-	h := c.lm.AcquireShared()
-	h.Lock(lockmgr.X(tn))
-	defer h.Release()
-	t, err := c.cat.Table(tn)
+// wipeLocked drops and recreates, empty, the shadow of every slot-owned
+// structure on node n — and with main, its main fragments too. Caller
+// holds the global exclusive lock.
+func (c *Cluster) wipeLocked(n int, main bool) error {
+	structs, err := c.slotStructs()
 	if err != nil {
 		return err
 	}
-	if err := c.repairCopyFrag(sess, tn, t.Schema.MustColIndex(t.PartitionCol)); err != nil {
-		return err
-	}
-	armed := []string{tn}
-	for _, ar := range c.cat.AuxRelsFor(tn) {
-		if err := c.repairCopyFrag(sess, ar.Name, ar.Schema.MustColIndex(ar.PartitionCol)); err != nil {
-			return err
+	for _, s := range structs {
+		names := []string{shadowName(s.name)}
+		if main {
+			names = append(names, s.name)
 		}
-		armed = append(armed, ar.Name)
-	}
-	for _, gi := range c.cat.GlobalIndexesFor(tn) {
-		if err := c.repairCopyGI(sess, gi.Name); err != nil {
-			return err
+		for _, name := range names {
+			// Tolerant: the node may have crashed before the fragment existed.
+			_, _ = c.rawCall(n, dropReq(s.gi, name))
+			if err := c.createStruct(c.rawCall, n, s, name); err != nil {
+				return err
+			}
 		}
-		armed = append(armed, gi.Name)
 	}
-	sess.arm(armed...)
-	return nil
-}
-
-// repairCopyView copies one view fragment under an exclusive claim on the
-// view (every writer of any of its base tables holds it too).
-func (c *Cluster) repairCopyView(sess *replRepair, vn string) error {
-	h := c.lm.AcquireShared()
-	h.Lock(lockmgr.X(vn))
-	defer h.Release()
-	v, err := c.cat.View(vn)
-	if err != nil {
-		return err
-	}
-	if err := c.repairCopyFrag(sess, vn, v.Schema.MustColIndex(v.PartitionQualified())); err != nil {
-		return err
-	}
-	sess.arm(vn)
 	return nil
 }
 
@@ -1275,13 +717,10 @@ func (c *Cluster) replStatus() (failedOver, stale []int, repair *ReplRepairStatu
 	sort.Ints(stale)
 	if s := c.repairSess; s != nil {
 		slots := 0
-		for _, fs := range s.targets {
+		for _, fs := range s.copy.targets {
 			slots += len(fs)
 		}
-		<-s.armedMu
-		st := &ReplRepairStatus{Phase: s.phase, ObjectsDone: s.done, ObjectsTotal: s.total, Slots: slots}
-		s.armedMu <- struct{}{}
-		repair = st
+		repair = &ReplRepairStatus{Phase: "copy", ObjectsDone: s.copy.progress(), ObjectsTotal: s.total, Slots: slots}
 	}
 	return failedOver, stale, repair
 }

@@ -270,18 +270,21 @@ func TestReplicationElasticityRefused(t *testing.T) {
 }
 
 // TestReplicaConsistencyProperty runs randomized DML (inserts, deletes,
-// updates, all three view strategies) at RF=2 and RF=3 and verifies after
-// every batch that each node's shadows are byte-identical to the
-// primaries' rows of the slots it follows — base tables, auxiliary
-// relations, global indexes and view fragments alike.
+// updates, all three view strategies, a join view and an aggregate view)
+// at RF=2 and RF=3 and verifies after every batch that each node's shadows
+// are byte-identical to the primaries' rows of the slots it follows — base
+// tables, auxiliary relations, global indexes and view fragments alike.
+// Dropping the views and global indexes drops their shadows too.
 func TestReplicaConsistencyProperty(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		for si, strat := range allStrategies {
 			k, strat, si := k, strat, si
 			t.Run(fmt.Sprintf("rf%d/%s", k, strat), func(t *testing.T) {
 				c := newReplicatedTPCR(t, Config{Nodes: 4, ReplicationFactor: k}, 6, 2, 0)
-				if err := c.CreateView(jv1Def("jv1", strat)); err != nil {
-					t.Fatal(err)
+				for _, v := range []*catalog.View{jv1Def("jv1", strat), aggViewDef("agg1", strat)} {
+					if err := c.CreateView(v); err != nil {
+						t.Fatal(err)
+					}
 				}
 				checkReplicaConsistency(t, c)
 				rng := rand.New(rand.NewSource(int64(100*k + si)))
@@ -318,11 +321,51 @@ func TestReplicaConsistencyProperty(t *testing.T) {
 				if err := c.CheckViewConsistency("jv1"); err != nil {
 					t.Fatal(err)
 				}
+				checkAggView(t, c, "agg1")
 				if err := c.CheckAllStructures(); err != nil {
 					t.Fatal(err)
 				}
 				if c.Metrics().Repl.Mirrors == 0 {
 					t.Fatal("no mirrored writes recorded")
+				}
+
+				// Drop the views and then every global index: the shadows
+				// of each dropped fragment and index must go with them.
+				var ars, gis []string
+				for _, tn := range c.cat.Tables() {
+					for _, ar := range c.cat.AuxRelsFor(tn) {
+						ars = append(ars, ar.Name)
+					}
+					for _, gi := range c.cat.GlobalIndexesFor(tn) {
+						gis = append(gis, gi.Name)
+					}
+				}
+				for _, v := range []string{"jv1", "agg1"} {
+					if err := c.DropView(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, gi := range gis {
+					if err := c.DropGlobalIndex(gi); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkReplicaConsistency(t, c)
+				gone := []any{node.AllRows{Frag: shadowName("jv1")}, node.AllRows{Frag: shadowName("agg1")}}
+				for _, ar := range ars {
+					if _, err := c.cat.AuxRel(ar); err != nil {
+						gone = append(gone, node.AllRows{Frag: shadowName(ar)})
+					}
+				}
+				for _, gi := range gis {
+					gone = append(gone, node.GIScan{GI: shadowName(gi)})
+				}
+				for n := 0; n < c.NumNodes(); n++ {
+					for _, req := range gone {
+						if _, err := c.rawDeliver(n, req); err == nil {
+							t.Errorf("node %d still answers %+v after the drop", n, req)
+						}
+					}
 				}
 			})
 		}
@@ -586,5 +629,27 @@ func TestTopologyReplicationFields(t *testing.T) {
 	}
 	if ms := c.Metrics().Repl; ms.Repairs != 1 || ms.RepairedSlots == 0 {
 		t.Fatalf("Repl metrics = %+v, want one repair with repaired slots", ms)
+	}
+}
+
+// TestRepairRecopiesReusedFollower loses the last node at RF=2: its slot
+// is promoted to node 0, whose follower duty passes to node 1 — which
+// already follows node 0's own slot. The repair wipes node 1's shadows
+// whole, so it must recopy every slot node 1 follows, not only the new
+// one.
+func TestRepairRecopiesReusedFollower(t *testing.T) {
+	c := newReplicatedTPCR(t, Config{Nodes: 4, ReplicationFactor: 2}, 8, 2, 0)
+	if err := c.CreateView(jv1Def("jv1", catalog.StrategyAuxRel)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MarkNodeDown(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplicateRepair(); err != nil {
+		t.Fatalf("ReplicateRepair: %v", err)
+	}
+	checkReplicaConsistency(t, c)
+	if err := c.CheckViewConsistency("jv1"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -433,7 +433,7 @@ func (c *Cluster) undoCall(to int, req any) error {
 func (c *Cluster) undoCallRows(to int, req node.DeleteRows, tuples []types.Tuple) error {
 	resp, err := c.resilientCall(netsim.Coordinator, to, req, true)
 	if err == nil && resp == nil && len(tuples) > 0 {
-		c.mirrorMutation(to, req, node.DeleteResult{Tuples: tuples})
+		c.mirrorToFollowers(to, req, node.DeleteResult{Tuples: tuples})
 	}
 	return err
 }

@@ -352,3 +352,24 @@ func TestCountsArithmetic(t *testing.T) {
 		t.Errorf("IOs = %d, want 18", got)
 	}
 }
+
+// TestUnversionedDeleteHidesRowFromSnapshots: a row deleted and restored
+// by a statement whose epoch was never published, then deleted without a
+// version stamp (a migration moving it away), must not reappear in a
+// snapshot older than the unpublished epoch.
+func TestUnversionedDeleteHidesRowFromSnapshots(t *testing.T) {
+	f, _ := NewFragment(ordersSchema(), Config{})
+	keep, _ := f.InsertEpoch(orderTuple(1, 10, 1), 1)
+	row, _ := f.InsertEpoch(orderTuple(2, 20, 2), 1)
+	img, _ := f.DeleteEpoch(row, 2)
+	if err := f.InsertAtEpoch(row, img, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.DeleteEpoch(row, 0); !ok {
+		t.Fatal("unversioned delete missed the row")
+	}
+	got := f.SnapshotAll(1)
+	if len(got) != 1 || !got[0].Equal(orderTuple(1, 10, 1)) {
+		t.Fatalf("snapshot at 1 = %v, want only row %d", got, keep)
+	}
+}

@@ -28,9 +28,21 @@ type verRecord struct {
 	tuple types.Tuple // nil for inserts: reconstruction only needs the id
 }
 
-// recordVersion appends one version-log record; epoch 0 records nothing.
+// recordVersion appends one version-log record. Epoch 0 records nothing,
+// but an unversioned delete removes the row from every snapshot, so it
+// also drops the row's pending records: otherwise a snapshot older than
+// them would resurrect the image a versioned delete logged.
 func (f *Fragment) recordVersion(epoch uint64, del bool, row RowID, t types.Tuple) {
 	if epoch == 0 {
+		if del && len(f.vlog) > 0 {
+			kept := f.vlog[:0]
+			for _, r := range f.vlog {
+				if r.row != row {
+					kept = append(kept, r)
+				}
+			}
+			f.vlog = kept
+		}
 		return
 	}
 	if del {
