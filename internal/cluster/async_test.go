@@ -363,6 +363,27 @@ func TestAsyncBackgroundFlusher(t *testing.T) {
 	}
 }
 
+// TestAsyncQuietTailDrains: with EpochSize alone, entries that never
+// reach it drain once the stream has been quiet for tailQuiet.
+func TestAsyncQuietTailDrains(t *testing.T) {
+	c := newAsyncCluster(t, catalog.StrategyAuto, func(cfg *Config) { cfg.EpochSize = 64 })
+	for i := int64(0); i < 3; i++ {
+		if err := c.Insert("orders", []types.Tuple{ord(960+i, i, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Watermark().Pending > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("quiet tail did not drain: %+v (flush err %v)", c.Watermark(), c.FlushErr())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := c.CheckViewConsistency("jv1"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAsyncFlushIntervalTimer: the wall-clock trigger drains the queue
 // with no depth trigger configured.
 func TestAsyncFlushIntervalTimer(t *testing.T) {

@@ -154,10 +154,22 @@ type asyncQueue struct {
 	wake     chan struct{} // nudges the background flusher
 	stop     chan struct{}
 	stopOnce sync.Once
+
+	// watching is set while the background flusher watches the queue for
+	// a quiet tail (see tailQuiet); an enqueue that finds it clear sets it
+	// and nudges watch, so a tail left below EpochSize is never orphaned.
+	watching bool
+	watch    chan struct{}
 }
 
+// tailQuiet is how long the background flusher lets entries sit below
+// EpochSize with no new enqueue before it flushes them anyway (only when
+// no FlushInterval is set; the interval timer drains tails otherwise). A
+// steady stream enqueues well within it, so its epochs keep their size.
+const tailQuiet = 50 * time.Millisecond
+
 func newAsyncQueue() *asyncQueue {
-	aq := &asyncQueue{wake: make(chan struct{}, 1), stop: make(chan struct{})}
+	aq := &asyncQueue{wake: make(chan struct{}, 1), watch: make(chan struct{}, 1), stop: make(chan struct{})}
 	aq.cond = sync.NewCond(&aq.mu)
 	return aq
 }
@@ -278,17 +290,32 @@ func (c *Cluster) enqueueEntries(entries []queuedDelta) {
 	}
 	aq.pending = append(aq.pending, entries...)
 	depth := len(aq.pending)
+	watch := c.watchesTail() && !aq.watching
+	if watch {
+		aq.watching = true
+	}
 	aq.mu.Unlock()
 	for _, e := range entries {
 		c.qstats.RecordEnqueue(len(e.tuples))
 	}
-	if c.cfg.EpochSize > 0 && depth >= c.cfg.EpochSize {
+	switch {
+	case c.cfg.EpochSize > 0 && depth >= c.cfg.EpochSize:
+		// The flush's own tail check takes over any watch just claimed.
 		select {
 		case aq.wake <- struct{}{}:
 		default:
 		}
+	case watch:
+		select {
+		case aq.watch <- struct{}{}:
+		default:
+		}
 	}
 }
+
+// watchesTail reports whether the background flusher drains quiet tails:
+// it runs on EpochSize alone, with no FlushInterval timer to do it.
+func (c *Cluster) watchesTail() bool { return c.cfg.EpochSize > 0 && c.cfg.FlushInterval == 0 }
 
 // insertAsync defers one insert statement: validate now, maintain later.
 func (c *Cluster) insertAsync(table string, tuples []types.Tuple) error {
@@ -960,13 +987,17 @@ func (c *Cluster) ReadViewRows(name string, mode ReadMode) ([]types.Tuple, Water
 }
 
 // startFlusher launches the background epoch flusher. It wakes when the
-// queue reaches EpochSize (nudged by enqueue), every FlushInterval, and
-// when blocked writers need a drain; failures are retried on the next
-// wake and surfaced through FlushErr.
+// queue reaches EpochSize (nudged by enqueue), every FlushInterval, when
+// blocked writers need a drain, and — with EpochSize alone — when entries
+// left below EpochSize saw no enqueue for tailQuiet. Entries enqueued
+// while a flush runs can leave such a tail, and nothing else would wake
+// the flusher for it. Failures are retried on the next wake and surfaced
+// through FlushErr.
 func (c *Cluster) startFlusher() {
 	c.flusherWG.Add(1)
 	go func() {
 		defer c.flusherWG.Done()
+		aq := c.aq
 		var timer *time.Timer
 		var tick <-chan time.Time
 		if c.cfg.FlushInterval > 0 {
@@ -974,25 +1005,75 @@ func (c *Cluster) startFlusher() {
 			tick = timer.C
 			defer timer.Stop()
 		}
+		quiet := time.NewTimer(tailQuiet)
+		stopTimer(quiet)
+		defer quiet.Stop()
+		var quietSeq uint64 // aq.nextSeq when the quiet window opened
+		// sample reads the enqueue frontier and the pending depth; with
+		// nothing pending the watch ends and the next enqueue restarts it.
+		sample := func() (uint64, int) {
+			aq.mu.Lock()
+			defer aq.mu.Unlock()
+			if len(aq.pending) == 0 {
+				aq.watching = false
+			}
+			return aq.nextSeq, len(aq.pending)
+		}
 		for {
 			select {
-			case <-c.aq.stop:
+			case <-aq.stop:
 				return
-			case <-c.aq.wake:
+			case <-aq.wake:
 			case <-tick:
+			case <-aq.watch:
+				quietSeq, _ = sample()
+				resetTimer(quiet, tailQuiet)
+				continue
+			case <-quiet.C:
+				seq, n := sample()
+				if n == 0 {
+					continue
+				}
+				if seq != quietSeq { // still streaming: wait again
+					quietSeq = seq
+					quiet.Reset(tailQuiet)
+					continue
+				}
 			}
 			if timer != nil {
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(c.cfg.FlushInterval)
+				resetTimer(timer, c.cfg.FlushInterval)
 			}
-			_ = c.Flush() // error kept in FlushErr; retried next wake
+			err := c.Flush() // error kept in FlushErr; retried next wake
+			// Watch what the flush left behind. A failed flush is not
+			// retried from here: the next enqueue restarts the watch.
+			aq.mu.Lock()
+			aq.watching = aq.watching && err == nil && len(aq.pending) > 0
+			watch := aq.watching
+			quietSeq = aq.nextSeq
+			aq.mu.Unlock()
+			if watch {
+				resetTimer(quiet, tailQuiet)
+			} else {
+				stopTimer(quiet)
+			}
 		}
 	}()
+}
+
+// stopTimer stops t and drains a fire it already delivered.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
+// resetTimer restarts t for d, discarding any pending fire.
+func resetTimer(t *time.Timer, d time.Duration) {
+	stopTimer(t)
+	t.Reset(d)
 }
 
 // stopFlusher shuts the background flusher down and releases any blocked

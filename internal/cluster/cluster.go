@@ -122,7 +122,9 @@ type Config struct {
 	// Off by default — synchronous mode is byte-identical to the seed.
 	AsyncMaintenance bool
 	// EpochSize triggers a background flush whenever the queue holds at
-	// least this many deferred statements (0 = no depth trigger).
+	// least this many deferred statements (0 = no depth trigger). Without
+	// a FlushInterval, a smaller tail is flushed once nothing has been
+	// enqueued for tailQuiet.
 	EpochSize int
 	// FlushInterval triggers a background flush on this wall-clock period
 	// (0 = no timer). With both EpochSize and FlushInterval zero, only
@@ -145,7 +147,7 @@ type Config struct {
 	// hatch.
 	LockedReads bool
 	// UseTCP runs the interconnect over real loopback TCP sockets with
-	// gob-encoded envelopes (internal/netsim/tcp) instead of channels or
+	// binary-framed envelopes (internal/netsim/tcp) instead of channels or
 	// direct calls — the same Transport contract, so every cluster code
 	// path is unchanged. Mutually exclusive with UseChannels, NetLatency,
 	// CallTimeout and fault injection (errors are flattened to strings on

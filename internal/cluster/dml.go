@@ -129,24 +129,99 @@ func (c *Cluster) deleteLocked(table string, pred expr.Expr) ([]types.Tuple, err
 	return victims, nil
 }
 
-// findVictims locates the tuples matching pred at every node (a scan; the
-// paper's model does not charge victim location, but a real system reads
-// the relation).
+// findVictims locates the tuples matching pred, with their storage
+// positions. Each node FindMatching reaches runs a metered scan of its
+// fragment (the paper's model does not charge victim location, but a real
+// system reads the relation). A predicate that pins the partitioning
+// column can match only at that value's home node (victimHome), so only
+// that node is asked — the single-node delta the AR and GI methods are
+// built for; every other predicate is broadcast to all nodes.
 func (c *Cluster) findVictims(table string, pred expr.Expr) ([]types.Tuple, []located, error) {
-	resps, err := c.tr.Broadcast(netsim.Coordinator, node.FindMatching{Frag: table, Pred: pred})
-	if err != nil {
-		return nil, nil, err
-	}
+	req := node.FindMatching{Frag: table, Pred: pred}
 	var locs []located
 	var victims []types.Tuple
-	for n, r := range resps {
+	add := func(n int, r any) {
 		rr := r.(node.RowsResult)
 		for i := range rr.Rows {
 			locs = append(locs, located{node: n, row: rr.Rows[i], tuple: rr.Tuples[i]})
 			victims = append(victims, rr.Tuples[i])
 		}
 	}
+	home, routed, err := c.victimHome(table, pred)
+	if err != nil {
+		return nil, nil, err
+	}
+	if routed {
+		resp, err := c.tr.Call(netsim.Coordinator, home, req)
+		if err != nil {
+			return nil, nil, err
+		}
+		add(home, resp)
+		return victims, locs, nil
+	}
+	resps, err := c.tr.Broadcast(netsim.Coordinator, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	for n, r := range resps {
+		add(n, r)
+	}
 	return victims, locs, nil
+}
+
+// victimHome returns the one node that can hold tuples matching pred, when
+// pred's top-level conjunction holds partcol = v in either operand order.
+// A tuple matches only if its partitioning value compares equal to v: for
+// the non-float v pinnedValue accepts, that is the same kind and value,
+// hence the same hash and v's home under the installed map (where
+// migration and failover keep every stored row). A NULL v matches nothing,
+// so routing it is exact too.
+// The routed node may hold no tuple to evaluate pred on, so pred's columns
+// are checked here: an unknown column stays an error.
+func (c *Cluster) victimHome(table string, pred expr.Expr) (int, bool, error) {
+	t, err := c.cat.Table(table)
+	if err != nil {
+		return 0, false, nil // the broadcast reports the missing fragment
+	}
+	v, ok := pinnedValue(pred, t.PartitionCol)
+	if !ok {
+		return 0, false, nil
+	}
+	if err := expr.CheckColumns(pred, t.Schema); err != nil {
+		return 0, false, err
+	}
+	return c.part.NodeFor(v), true, nil
+}
+
+// pinnedValue finds a col = const term in pred's top-level conjunction.
+// A float constant does not pin: 0 and -0 compare equal but hash apart, and
+// a stored NaN compares equal to every float, wherever it lives.
+func pinnedValue(pred expr.Expr, col string) (types.Value, bool) {
+	switch p := pred.(type) {
+	case expr.And:
+		for _, term := range p.Terms {
+			if v, ok := pinnedValue(term, col); ok {
+				return v, true
+			}
+		}
+	case expr.Cmp:
+		if p.Op != expr.EQ {
+			break
+		}
+		l, r := p.L, p.R
+		if _, ok := r.(expr.Col); ok {
+			l, r = r, l
+		}
+		lc, lok := l.(expr.Col)
+		rc, rok := r.(expr.Const)
+		if !lok || !rok || lc.Name != col {
+			break
+		}
+		if rc.V.K != types.KindFloat {
+			return rc.V, true
+		}
+	}
+	return types.Value{}, false
 }
 
 // Update modifies every tuple matching pred by applying the set map

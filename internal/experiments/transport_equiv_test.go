@@ -8,17 +8,19 @@ import (
 	"joinview/internal/cluster"
 )
 
-// TestTransportEquivalence runs every measured experiment grid on both
-// transports and asserts each render — every tw-ios, maxnode-ios and msgs
-// cell — is byte-identical to the checked-in seed trace
-// (testdata/seed/*.golden, captured from the original hand-rolled
-// executor before the compiled-plan pipeline replaced it).
+// TestTransportEquivalence runs every measured experiment grid on the
+// direct, channel and loopback-TCP transports and asserts each render —
+// every tw-ios, maxnode-ios and msgs cell — is byte-identical to the
+// checked-in seed trace (testdata/seed/*.golden, captured from the
+// original hand-rolled executor before the compiled-plan pipeline
+// replaced it). The faults grid skips TCP, which rejects fault injection.
 //
-// Two properties at once: the compiled pipeline reproduces the seed's
-// traces exactly, and the logical meters do not notice whether per-node
+// Three properties at once: the compiled pipeline reproduces the seed's
+// traces exactly; the logical meters do not notice whether per-node
 // calls were dispatched serially on one goroutine or gathered from a
 // worker pool, nor whether global-index traffic traveled as per-entry
-// messages or batched envelopes.
+// messages or batched envelopes; and every request and response survives
+// the TCP wire codec unchanged.
 //
 // NetworkSensitivity is excluded: it reports wall-clock µs and already
 // requires the channel transport. Axes are kept small; jvbench runs the
@@ -38,14 +40,28 @@ func TestTransportEquivalence(t *testing.T) {
 			if got := direct.Render(); got != string(want) {
 				t.Errorf("direct transport diverges from seed trace\nseed:\n%s\ngot:\n%s", want, got)
 			}
-			ConfigHook = func(cfg *cluster.Config) { cfg.UseChannels = true }
 			defer func() { ConfigHook = nil }()
-			chann, err := tc.Run()
-			if err != nil {
-				t.Fatalf("channels: %v", err)
-			}
-			if got := chann.Render(); got != string(want) {
-				t.Errorf("channel transport diverges from seed trace\nseed:\n%s\ngot:\n%s", want, got)
+			for _, leg := range []struct {
+				name string
+				set  func(*cluster.Config)
+			}{
+				{"channel", func(cfg *cluster.Config) { cfg.UseChannels = true }},
+				{"tcp", func(cfg *cluster.Config) { cfg.UseTCP = true }},
+			} {
+				if leg.name == "tcp" && tc.Name == "faults" {
+					// The TCP transport rejects fault injection: errors
+					// cross it as strings, so the injector's error
+					// classes would not survive the hop.
+					continue
+				}
+				ConfigHook = leg.set
+				g, err := tc.Run()
+				if err != nil {
+					t.Fatalf("%s: %v", leg.name, err)
+				}
+				if got := g.Render(); got != string(want) {
+					t.Errorf("%s transport diverges from seed trace\nseed:\n%s\ngot:\n%s", leg.name, want, got)
+				}
 			}
 		})
 	}

@@ -26,9 +26,13 @@ type Col struct{ Name string }
 func (c Col) Eval(s *types.Schema, t types.Tuple) (types.Value, error) {
 	i := s.ColIndex(c.Name)
 	if i < 0 {
-		return types.Value{}, fmt.Errorf("expr: unknown column %q (schema %v)", c.Name, s.Names())
+		return types.Value{}, unknownColumn(c.Name, s)
 	}
 	return t[i], nil
+}
+
+func unknownColumn(name string, s *types.Schema) error {
+	return fmt.Errorf("expr: unknown column %q (schema %v)", name, s.Names())
 }
 
 func (c Col) String() string { return c.Name }
@@ -213,6 +217,40 @@ func Matches(p Expr, s *types.Schema, t types.Tuple) (bool, error) {
 		return false, err
 	}
 	return Truthy(v), nil
+}
+
+// CheckColumns reports the first column p references that schema s lacks,
+// with the error Eval would return on reaching it. Evaluation finds such a
+// column only on a tuple that gets that far, so a caller that may evaluate
+// p on no tuple at all checks up front.
+func CheckColumns(p Expr, s *types.Schema) error {
+	switch e := p.(type) {
+	case Col:
+		if s.ColIndex(e.Name) < 0 {
+			return unknownColumn(e.Name, s)
+		}
+	case Cmp:
+		if err := CheckColumns(e.L, s); err != nil {
+			return err
+		}
+		return CheckColumns(e.R, s)
+	case And:
+		return checkAll(e.Terms, s)
+	case Or:
+		return checkAll(e.Terms, s)
+	case Not:
+		return CheckColumns(e.E, s)
+	}
+	return nil
+}
+
+func checkAll(ps []Expr, s *types.Schema) error {
+	for _, p := range ps {
+		if err := CheckColumns(p, s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Projection maps an input schema to an output tuple via named columns.

@@ -36,6 +36,15 @@ func TestColAndConst(t *testing.T) {
 	if v.I != 5 {
 		t.Error("const eval wrong")
 	}
+	// CheckColumns finds an unknown column wherever it hides, even behind
+	// a conjunct that would short-circuit evaluation.
+	eq := func(col string) Expr { return Cmp{Op: EQ, L: Col{col}, R: Const{types.Int(1)}} }
+	if err := CheckColumns(And{[]Expr{eq("k"), Or{[]Expr{Not{eq("bal")}, eq("name")}}}}, testSchema); err != nil {
+		t.Errorf("CheckColumns on known columns: %v", err)
+	}
+	if err := CheckColumns(And{[]Expr{Const{types.Int(0)}, Or{[]Expr{Not{eq("zzz")}}}}}, testSchema); err == nil {
+		t.Error("CheckColumns missed an unknown column")
+	}
 }
 
 func TestCmpOps(t *testing.T) {

@@ -1,9 +1,14 @@
 // Package tcp is a real-socket implementation of the netsim.Transport
 // contract: every node listens on a loopback TCP port, requests and
-// responses travel as gob-encoded envelopes, and the coordinator keeps a
-// small per-destination connection pool. It exists to prove the engine's
+// responses travel as binary frames, and the coordinator keeps a small
+// per-destination connection pool. It exists to prove the engine's
 // envelope encoding works off in-process channels — the cluster code is
 // byte-for-byte the same over Direct, Chan and TCP.
+//
+// Each frame is a 4-byte length prefix and one message: a tag byte per
+// node request or response type, then its fields as uvarints and the
+// types package's binary row codec (see codec.go for the grammar). There
+// is one wire path and no reflection-based fallback.
 //
 // Contract deviations, both documented at the Config surface:
 //
@@ -16,44 +21,82 @@
 package tcp
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 
-	"joinview/internal/expr"
 	"joinview/internal/netsim"
-	"joinview/internal/node"
 )
 
-func init() {
-	for _, r := range node.AllRequests() {
-		gob.Register(r)
-	}
-	for _, r := range node.AllResponses() {
-		gob.Register(r)
-	}
-	// Predicate trees ride inside FindMatching as expr.Expr values.
-	gob.Register(expr.Col{})
-	gob.Register(expr.Const{})
-	gob.Register(expr.Cmp{})
-	gob.Register(expr.And{})
-	gob.Register(expr.Or{})
-	gob.Register(expr.Not{})
+// Per-connection buffer sizes: the socket read buffer, and the largest
+// frame buffer a connection keeps between messages (a bigger frame gets a
+// one-off buffer, so a rare bulk scan does not pin memory per connection).
+const (
+	readBufSize  = 4 << 10
+	keepFrameCap = 16 << 10
+)
+
+// wire is one end of a connection: the socket, its read buffer and the
+// reusable frame buffer. It is used by one goroutine at a time.
+type wire struct {
+	c   net.Conn
+	r   *bufio.Reader
+	buf []byte
 }
 
-// wireReq frames one request.
-type wireReq struct {
-	Req any
+func newWire(c net.Conn) *wire {
+	return &wire{c: c, r: bufio.NewReaderSize(c, readBufSize)}
 }
 
-// wireResp frames one response; Err is the flattened handler error ("" =
-// success).
-type wireResp struct {
-	Resp any
-	Err  string
+// send encodes v as one frame and writes it with a single call. An
+// encoding failure writes nothing and leaves the connection usable.
+func (w *wire) send(v any) error {
+	b, err := appendFrame(w.buf[:0], v)
+	w.keep(b)
+	if err != nil {
+		return err
+	}
+	_, err = w.c.Write(b)
+	return err
+}
+
+// recv reads one frame and decodes it. Decoded messages copy everything
+// they hold out of the frame, so the buffer is reused at once.
+func (w *wire) recv() (any, error) {
+	b := w.buf[:0]
+	if cap(b) < 4 {
+		b = make([]byte, 0, readBufSize)
+	}
+	b = b[:4]
+	if _, err := io.ReadFull(w.r, b); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > maxFrame {
+		return nil, fmt.Errorf("tcp: frame of %d bytes exceeds %d", n, maxFrame)
+	}
+	if total := 4 + int(n); cap(b) < total {
+		b = append(make([]byte, 0, total), b...)
+	}
+	b = b[:4+int(n)]
+	w.keep(b)
+	if _, err := io.ReadFull(w.r, b[4:]); err != nil {
+		return nil, err
+	}
+	return decodeFrame(b)
+}
+
+// keep retains b as the next frame buffer unless it grew past
+// keepFrameCap.
+func (w *wire) keep(b []byte) {
+	if cap(b) <= keepFrameCap {
+		w.buf = b[:0]
+	}
 }
 
 // server is one node's listening side. The handler mutex serializes
@@ -77,19 +120,22 @@ func (s *server) serve() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
+			w := newWire(conn)
 			for {
-				var req wireReq
-				if err := dec.Decode(&req); err != nil {
+				req, err := w.recv()
+				if err != nil {
 					return // peer closed or stream broken
 				}
-				resp, err := s.handle(req.Req)
-				w := wireResp{Resp: resp}
+				resp, err := s.handle(req)
 				if err != nil {
-					w = wireResp{Err: err.Error()}
+					resp = remoteError(err.Error())
 				}
-				if err := enc.Encode(w); err != nil {
+				err = w.send(resp)
+				if errors.Is(err, errUnencodable) {
+					// The caller still gets an answer.
+					err = w.send(remoteError(err.Error()))
+				}
+				if err != nil {
 					return
 				}
 			}
@@ -108,24 +154,27 @@ func (s *server) handle(req any) (resp any, err error) {
 	return s.h(req)
 }
 
-// conn is one pooled client connection with its sticky codec pair (gob
-// streams carry type dictionaries, so encoder and decoder must live as
-// long as the connection).
-type conn struct {
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
+// maxConns bounds the connections to one destination. A node executes
+// one request at a time, so more connections buy no parallelism; the bound
+// keeps a wide scatter (one goroutine per delta tuple) from dialing a
+// socket per goroutine. Callers beyond it wait for a connection to return.
+const maxConns = 8
 
 // pool is a per-destination free list. Checkout is exclusive: one in-flight
 // request per connection, strict request/response lockstep.
 type pool struct {
+	sem  chan struct{} // one token per checked-out connection
 	mu   sync.Mutex
-	idle []*conn
+	idle []*wire
 	addr string
 }
 
-func (p *pool) get() (*conn, error) {
+func newPool(addr string) *pool {
+	return &pool{sem: make(chan struct{}, maxConns), addr: addr}
+}
+
+func (p *pool) get() (*wire, error) {
+	p.sem <- struct{}{}
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
 		c := p.idle[n-1]
@@ -133,19 +182,27 @@ func (p *pool) get() (*conn, error) {
 		p.mu.Unlock()
 		return c, nil
 	}
-	addr := p.addr
 	p.mu.Unlock()
-	nc, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", p.addr)
 	if err != nil {
-		return nil, fmt.Errorf("tcp: dial %s: %w", addr, err)
+		<-p.sem
+		return nil, fmt.Errorf("tcp: dial %s: %w", p.addr, err)
 	}
-	return &conn{c: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc)}, nil
+	return newWire(nc), nil
 }
 
-func (p *pool) put(c *conn) {
+// put returns a healthy connection to the free list.
+func (p *pool) put(c *wire) {
 	p.mu.Lock()
 	p.idle = append(p.idle, c)
 	p.mu.Unlock()
+	<-p.sem
+}
+
+// discard closes a broken connection and frees its slot.
+func (p *pool) discard(c *wire) {
+	c.c.Close()
+	<-p.sem
 }
 
 func (p *pool) close() {
@@ -220,7 +277,7 @@ func (t *Transport) AddNode(h netsim.Handler) (int, error) {
 		return 0, netsim.ErrClosed
 	}
 	t.servers = append(t.servers, s)
-	t.pools = append(t.pools, &pool{addr: ln.Addr().String()})
+	t.pools = append(t.pools, newPool(ln.Addr().String()))
 	return len(t.servers) - 1, nil
 }
 
@@ -244,20 +301,24 @@ func (t *Transport) Call(from, to int, req any) (any, error) {
 		return nil, err
 	}
 	t.ctr.record(from, to, req)
-	if err := c.enc.Encode(wireReq{Req: req}); err != nil {
-		c.c.Close()
+	if err := c.send(req); err != nil {
+		if errors.Is(err, errUnencodable) {
+			p.put(c) // nothing was written; the connection is intact
+			return nil, err
+		}
+		p.discard(c)
 		return nil, fmt.Errorf("tcp: send to node %d: %w", to, err)
 	}
-	var w wireResp
-	if err := c.dec.Decode(&w); err != nil {
-		c.c.Close()
+	resp, err := c.recv()
+	if err != nil {
+		p.discard(c)
 		return nil, fmt.Errorf("tcp: receive from node %d: %w", to, err)
 	}
 	p.put(c)
-	if w.Err != "" {
-		return nil, errors.New(w.Err)
+	if e, ok := resp.(remoteError); ok {
+		return nil, e
 	}
-	return w.Resp, nil
+	return resp, nil
 }
 
 // Broadcast implements netsim.Transport: concurrent fan-out, every node

@@ -119,8 +119,8 @@ func AllRequests() []any {
 }
 
 // AllResponses enumerates one zero value of every response type a node can
-// return. Wire transports (internal/netsim/tcp) register them alongside
-// AllRequests for interface-typed decoding.
+// return. The TCP wire codec (internal/netsim/tcp) has a frame tag for
+// each, and its round-trip test walks both lists.
 func AllResponses() []any {
 	return []any{
 		InsertResult{}, DeleteResult{}, RowsResult{}, Probed{},

@@ -227,9 +227,11 @@ func batchCounts(sources []int32, from, to, n int) (messages, local int64) {
 	return messages, local
 }
 
-// FindMatching locates tuples satisfying a predicate, returning row ids and
-// tuples. It charges a full scan (victim location for DELETE/UPDATE reads
-// the relation).
+// FindMatching locates tuples satisfying a predicate in this node's
+// fragment, returning row ids and tuples. It charges a scan of the
+// fragment: victim location for DELETE/UPDATE reads the relation at each
+// node it is sent to — every node, or only the home node when the
+// predicate pins the partitioning column.
 type FindMatching struct {
 	Frag string
 	Pred expr.Expr

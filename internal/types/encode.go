@@ -77,10 +77,10 @@ func DecodeValue(b []byte) (Value, int, error) {
 			return Value{}, 0, fmt.Errorf("types: decode string: bad length prefix")
 		}
 		start := 1 + sz
-		end := start + int(n)
-		if end > len(b) {
-			return Value{}, 0, fmt.Errorf("types: decode string: short input (want %d bytes, have %d)", end, len(b))
+		if n > uint64(len(b)-start) {
+			return Value{}, 0, fmt.Errorf("types: decode string: short input (want %d bytes, have %d)", n, len(b)-start)
 		}
+		end := start + int(n)
 		return String(string(b[start:end])), end, nil
 	default:
 		return Value{}, 0, fmt.Errorf("types: decode: unknown kind %d", b[0])

@@ -159,7 +159,7 @@ type Options struct {
 	// transport.
 	UseChannels bool
 	// UseTCP runs each node behind a real loopback TCP listener with
-	// gob-encoded messages (mutually exclusive with UseChannels;
+	// binary-framed messages (mutually exclusive with UseChannels;
 	// incompatible with NetLatency, CallTimeout and Faults — errors are
 	// flattened to strings on the wire).
 	UseTCP bool
@@ -232,7 +232,9 @@ type Options struct {
 	// demand. Off by default: synchronous mode is unchanged.
 	AsyncMaintenance bool
 	// EpochSize flushes automatically whenever at least this many deferred
-	// statements are queued (0 disables the depth trigger).
+	// statements are queued (0 disables the depth trigger). Without a
+	// FlushInterval, a smaller tail is flushed once no statement has been
+	// enqueued for 50ms, so a paused stream does not leave it stale.
 	EpochSize int
 	// FlushInterval flushes automatically on this wall-clock period (0
 	// disables the timer). With both triggers zero, only Flush, ReadFresh
